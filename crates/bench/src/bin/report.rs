@@ -3,9 +3,10 @@
 //!
 //! Usage: `cargo run --release -p bench --bin report [-- <section> [--json]]`
 //! where `<section>` is one of `table1`, `table2`, `trap`, `signal`,
-//! `fault`, `size`, `cache-sweep`, `overhead`, `mp3d`, `policy`,
-//! `quota`, `rtlb`, `teardown`, `recovery`, `overload`, `partition`,
+//! `fault`, `size`, `cache-sweep`, `overhead`, `mp3d`, `dist`,
+//! `policy`, `quota`, `rtlb`, `teardown`, `recovery`, `overload`, `partition`,
 //! `serve`, `gray`, `throughput`, `msg`, `caps`, or `all` (default).
+//! Any other section name exits with status 2.
 //! Output is what EXPERIMENTS.md records. With `--json`, the `signal`,
 //! `recovery`, `overload`, `partition`, `serve`, `gray`, `throughput`,
 //! `msg` and `caps` sections additionally write a machine-readable
@@ -22,6 +23,32 @@ use hw::{Access, MachineConfig, Mpm, Paddr, Pte, Rights, Vaddr, PAGE_GROUP_SIZE,
 use sim_kernel::mp3d::{locality_comparison, Mp3dConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// Every section `main` can run, in report order.
+const SECTIONS: &[&str] = &[
+    "table1",
+    "table2",
+    "trap",
+    "signal",
+    "fault",
+    "size",
+    "cache-sweep",
+    "overhead",
+    "mp3d",
+    "dist",
+    "policy",
+    "quota",
+    "rtlb",
+    "teardown",
+    "recovery",
+    "overload",
+    "partition",
+    "serve",
+    "gray",
+    "throughput",
+    "msg",
+    "caps",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     JSON.store(args.iter().any(|a| a == "--json"), Ordering::Relaxed);
@@ -30,6 +57,13 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".into());
+    if arg != "all" && !SECTIONS.contains(&arg.as_str()) {
+        eprintln!(
+            "report: unknown section `{arg}`; known sections: all, {}",
+            SECTIONS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let run = |name: &str| arg == "all" || arg == name;
     println!("# V++ Cache Kernel — evaluation report\n");
     if run("table1") {

@@ -15,11 +15,12 @@
 //! synchronization: every mutation bumps an atomic version counter, so a
 //! processor loading a derived structure (e.g. a reverse-TLB entry) can
 //! check that the map did not change concurrently and retry its lookup if
-//! it did. Mutations and lookups are internally synchronized, so the map
-//! is safe to hammer from multiple threads.
+//! it did. The map has a single owner: each Cache Kernel holds its own,
+//! and each threaded shard holds its own Cache Kernel. Mutators take
+//! `&mut self`, so the borrow checker provides the exclusion a lock
+//! would; a caller that does share a map wraps it in its own lock.
 
 use hw::{Paddr, Vaddr};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,7 +59,8 @@ pub struct P2v {
     pub vaddr: Vaddr,
 }
 
-struct Inner {
+/// The versioned physical memory map.
+pub struct PhysMap {
     records: Vec<DepRecord>,
     /// Occupancy flag per record (a record can be all-zero yet live).
     live: Vec<bool>,
@@ -68,11 +70,6 @@ struct Inner {
     /// Thread slot → arena indices of its live signal records, in attach
     /// order. Keeps thread unload from scanning the whole arena.
     sig_index: BTreeMap<u32, Vec<u32>>,
-}
-
-/// The versioned physical memory map.
-pub struct PhysMap {
-    inner: RwLock<Inner>,
     version: AtomicU64,
     capacity: usize,
 }
@@ -83,14 +80,12 @@ impl PhysMap {
     pub fn new(capacity: usize) -> Self {
         let nbuckets = (capacity / 4).next_power_of_two().max(16);
         PhysMap {
-            inner: RwLock::new(Inner {
-                records: Vec::new(),
-                live: Vec::new(),
-                buckets: vec![0; nbuckets],
-                free: Vec::new(),
-                count: 0,
-                sig_index: BTreeMap::new(),
-            }),
+            records: Vec::new(),
+            live: Vec::new(),
+            buckets: vec![0; nbuckets],
+            free: Vec::new(),
+            count: 0,
+            sig_index: BTreeMap::new(),
             version: AtomicU64::new(0),
             capacity,
         }
@@ -103,7 +98,7 @@ impl PhysMap {
 
     /// Number of live records (of all three flavors).
     pub fn len(&self) -> usize {
-        self.inner.read().count
+        self.count
     }
 
     /// Whether the map holds no records.
@@ -127,71 +122,65 @@ impl PhysMap {
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 
-    fn bucket_of(nbuckets: usize, key: u32) -> usize {
-        // Fibonacci hashing over the key.
-        ((key.wrapping_mul(0x9e37_79b9)) as usize) & (nbuckets - 1)
+    fn bucket_of(&self, key: u32) -> usize {
+        // Fibonacci hashing: keep the *high* bits of the product. Page
+        // addresses have 12 zero low bits, and so does their product, so
+        // masking the low bits would pile every frame into a few buckets.
+        let bits = self.buckets.len().trailing_zeros();
+        (key.wrapping_mul(0x9e37_79b9) >> (32 - bits)) as usize
     }
 
-    fn alloc(inner: &mut Inner, rec: DepRecord) -> Option<u32> {
-        let idx = match inner.free.pop() {
-            Some(i) => {
-                inner.records[i as usize] = rec;
-                inner.live[i as usize] = true;
-                i
-            }
-            None => {
-                inner.records.push(rec);
-                inner.live.push(true);
-                (inner.records.len() - 1) as u32
-            }
-        };
-        inner.count += 1;
-        Some(idx)
-    }
-
-    fn link(inner: &mut Inner, idx: u32) {
-        let b = Self::bucket_of(inner.buckets.len(), inner.records[idx as usize].key);
-        inner.records[idx as usize].next = inner.buckets[b];
-        inner.buckets[b] = idx + 1;
+    /// The records chained in `key`'s bucket, head first, as
+    /// `(handle, record)`. The bucket is shared with other keys, so
+    /// callers filter on `key`. A corrupted link ends the walk instead
+    /// of panicking.
+    fn chain(&self, key: u32) -> impl Iterator<Item = (RecHandle, DepRecord)> + '_ {
+        let mut cur = self.buckets[self.bucket_of(key)];
+        std::iter::from_fn(move || {
+            let h = cur;
+            let r = *self.records.get(h.checked_sub(1)? as usize)?;
+            cur = r.next;
+            Some((h, r))
+        })
     }
 
     /// Returns whether the record was found in its bucket chain. A miss
     /// means the map is corrupted; callers surface it as an error rather
     /// than panicking mid-reclamation.
-    fn unlink(inner: &mut Inner, idx: u32) -> bool {
-        let Some(rec) = inner.records.get(idx as usize).copied() else {
+    fn unlink(&mut self, idx: u32) -> bool {
+        let Some(rec) = self.records.get(idx as usize).copied() else {
             return false;
         };
-        let b = Self::bucket_of(inner.buckets.len(), rec.key);
-        let mut cur = inner.buckets[b];
+        let b = self.bucket_of(rec.key);
+        let mut cur = self.buckets[b];
         let mut prev: Option<u32> = None;
         while cur != 0 {
             let i = cur - 1;
             if i == idx {
-                let next = inner.records[i as usize].next;
+                let next = self.records[i as usize].next;
                 match prev {
-                    Some(p) => inner.records[p as usize].next = next,
-                    None => inner.buckets[b] = next,
+                    Some(p) => self.records[p as usize].next = next,
+                    None => self.buckets[b] = next,
                 }
-                inner.live[i as usize] = false;
-                inner.records[i as usize] = DepRecord::default();
-                inner.free.push(i);
-                inner.count -= 1;
+                self.live[i as usize] = false;
+                self.records[i as usize] = DepRecord::default();
+                self.free.push(i);
+                self.count -= 1;
                 if rec.context == CTX_SIGNAL {
                     // Keep the per-thread signal index in sync (tolerates
                     // an already-removed entry: remove_signals_of_thread
                     // drains the whole list up front).
-                    if let Some(v) = inner.sig_index.get_mut(&rec.dependent) {
+                    if let Some(v) = self.sig_index.get_mut(&rec.dependent) {
                         v.retain(|&x| x != idx);
                         if v.is_empty() {
-                            inner.sig_index.remove(&rec.dependent);
+                            self.sig_index.remove(&rec.dependent);
                         }
                     }
                 }
                 return true;
             }
             prev = Some(i);
-            cur = match inner.records.get(i as usize) {
+            cur = match self.records.get(i as usize) {
                 Some(r) => r.next,
                 None => break,
             };
@@ -199,24 +188,36 @@ impl PhysMap {
         false
     }
 
-    fn insert_record(&self, rec: DepRecord) -> Option<RecHandle> {
-        let mut inner = self.inner.write();
-        if inner.count >= self.capacity {
+    fn insert_record(&mut self, rec: DepRecord) -> Option<RecHandle> {
+        if self.count >= self.capacity {
             return None;
         }
-        let idx = Self::alloc(&mut inner, rec)?;
-        Self::link(&mut inner, idx);
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.records[i as usize] = rec;
+                self.live[i as usize] = true;
+                i
+            }
+            None => {
+                self.records.push(rec);
+                self.live.push(true);
+                (self.records.len() - 1) as u32
+            }
+        };
+        self.count += 1;
+        let b = self.bucket_of(rec.key);
+        self.records[idx as usize].next = self.buckets[b];
+        self.buckets[b] = idx + 1;
         if rec.context == CTX_SIGNAL {
-            inner.sig_index.entry(rec.dependent).or_default().push(idx);
+            self.sig_index.entry(rec.dependent).or_default().push(idx);
         }
-        drop(inner);
         self.bump();
         Some(idx + 1)
     }
 
     /// Record a physical-to-virtual mapping. Returns `None` if the map is
     /// at capacity (the Cache Kernel reclaims a mapping first).
-    pub fn insert_p2v(&self, paddr: Paddr, vaddr: Vaddr, asid: u32) -> Option<RecHandle> {
+    pub fn insert_p2v(&mut self, paddr: Paddr, vaddr: Vaddr, asid: u32) -> Option<RecHandle> {
         debug_assert!(asid < CTX_COW);
         self.insert_record(DepRecord {
             key: paddr.page_base().0,
@@ -227,25 +228,18 @@ impl PhysMap {
     }
 
     /// Visit every physical-to-virtual record for the frame containing
-    /// `paddr`, allocation-free, under one read lock. The hot-path form
-    /// of [`PhysMap::find_p2v`].
+    /// `paddr`, allocation-free. The hot-path form of
+    /// [`PhysMap::find_p2v`].
     pub fn visit_p2v(&self, paddr: Paddr, mut f: impl FnMut(P2v)) {
         let key = paddr.page_base().0;
-        let inner = self.inner.read();
-        let b = Self::bucket_of(inner.buckets.len(), key);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break; // corrupted chain: stop walking, never panic
-            };
+        for (handle, r) in self.chain(key) {
             if r.key == key && r.context < CTX_COW {
                 f(P2v {
-                    handle: cur,
+                    handle,
                     asid: r.context,
                     vaddr: Vaddr(r.dependent),
                 });
             }
-            cur = r.next;
         }
     }
 
@@ -262,78 +256,47 @@ impl PhysMap {
     pub fn find_p2v_exact(&self, paddr: Paddr, asid: u32, vaddr: Vaddr) -> Option<RecHandle> {
         let key = paddr.page_base().0;
         let vpage = vaddr.page_base().0;
-        let inner = self.inner.read();
-        let b = Self::bucket_of(inner.buckets.len(), key);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break;
-            };
-            if r.key == key && r.context == asid && r.dependent == vpage {
-                return Some(cur);
-            }
-            cur = r.next;
-        }
-        None
+        self.chain(key)
+            .find(|(_, r)| r.key == key && r.context == asid && r.dependent == vpage)
+            .map(|(h, _)| h)
     }
 
     /// Remove a physical-to-virtual record and any signal/COW records
     /// attached to it, returning the mapping it described.
-    pub fn remove_p2v(&self, handle: RecHandle) -> Option<(Paddr, Vaddr, u32)> {
-        let mut inner = self.inner.write();
+    pub fn remove_p2v(&mut self, handle: RecHandle) -> Option<(Paddr, Vaddr, u32)> {
         let idx = handle.checked_sub(1)?;
-        if !*inner.live.get(idx as usize)? {
+        if !*self.live.get(idx as usize)? {
             return None;
         }
-        let rec = inner.records[idx as usize];
+        let rec = self.records[idx as usize];
         if rec.context >= CTX_COW {
             return None; // not a p2v record
         }
         // Cascade: remove attached signal/COW records (their key is our
         // handle).
-        let attached: Vec<u32> = {
-            let b = Self::bucket_of(inner.buckets.len(), handle);
-            let mut v = Vec::new();
-            let mut cur = inner.buckets[b];
-            while cur != 0 {
-                let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                    break;
-                };
-                if r.key == handle && r.context >= CTX_COW {
-                    v.push(cur - 1);
-                }
-                cur = r.next;
-            }
-            v
-        };
+        let attached: Vec<u32> = self
+            .chain(handle)
+            .filter(|(_, r)| r.key == handle && r.context >= CTX_COW)
+            .map(|(h, _)| h - 1)
+            .collect();
         for a in attached {
-            Self::unlink(&mut inner, a);
+            self.unlink(a);
         }
-        Self::unlink(&mut inner, idx);
-        drop(inner);
+        self.unlink(idx);
         self.bump();
         Some((Paddr(rec.key), Vaddr(rec.dependent), rec.context))
     }
 
-    /// First record attached to `handle` with context `ctx`, walking the
-    /// handle-keyed bucket chain directly (no allocation).
-    fn attached_first(inner: &Inner, handle: RecHandle, ctx: u32) -> Option<u32> {
-        let b = Self::bucket_of(inner.buckets.len(), handle);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break;
-            };
-            if r.key == handle && r.context == ctx {
-                return Some(r.dependent);
-            }
-            cur = r.next;
-        }
-        None
+    /// First record attached to `handle` with context `ctx` (no
+    /// allocation).
+    fn attached_first(&self, handle: RecHandle, ctx: u32) -> Option<u32> {
+        self.chain(handle)
+            .find(|(_, r)| r.key == handle && r.context == ctx)
+            .map(|(_, r)| r.dependent)
     }
 
     /// Attach a signal-thread record to a physical-to-virtual record.
-    pub fn attach_signal(&self, p2v: RecHandle, thread_slot: u32) -> Option<RecHandle> {
+    pub fn attach_signal(&mut self, p2v: RecHandle, thread_slot: u32) -> Option<RecHandle> {
         self.insert_record(DepRecord {
             key: p2v,
             dependent: thread_slot,
@@ -344,7 +307,7 @@ impl PhysMap {
 
     /// Attach a copy-on-write source record to a physical-to-virtual
     /// record.
-    pub fn attach_cow(&self, p2v: RecHandle, source: Paddr) -> Option<RecHandle> {
+    pub fn attach_cow(&mut self, p2v: RecHandle, source: Paddr) -> Option<RecHandle> {
         self.insert_record(DepRecord {
             key: p2v,
             dependent: source.page_base().0,
@@ -355,44 +318,29 @@ impl PhysMap {
 
     /// The signal thread registered on a physical-to-virtual record.
     pub fn signal_of(&self, p2v: RecHandle) -> Option<u32> {
-        let inner = self.inner.read();
-        Self::attached_first(&inner, p2v, CTX_SIGNAL)
+        self.attached_first(p2v, CTX_SIGNAL)
     }
 
     /// The COW source registered on a physical-to-virtual record.
     pub fn cow_source_of(&self, p2v: RecHandle) -> Option<Paddr> {
-        let inner = self.inner.read();
-        Self::attached_first(&inner, p2v, CTX_COW).map(Paddr)
+        self.attached_first(p2v, CTX_COW).map(Paddr)
     }
 
     /// The two-stage lookup used for slow-path signal delivery (§4.1),
     /// allocation-free: find the physical-to-virtual records for the
-    /// page, then the signal records for each, all under one read lock.
-    /// Yields `(thread_slot, asid, receiver vaddr)`.
+    /// page, then the signal records for each. Yields
+    /// `(thread_slot, asid, receiver vaddr)`.
     pub fn visit_signals(&self, paddr: Paddr, mut f: impl FnMut(u32, u32, Vaddr)) {
         let key = paddr.page_base().0;
-        let inner = self.inner.read();
-        let b = Self::bucket_of(inner.buckets.len(), key);
-        let mut cur = inner.buckets[b];
-        while cur != 0 {
-            let Some(r) = inner.records.get((cur - 1) as usize).copied() else {
-                break;
-            };
+        for (h, r) in self.chain(key) {
             if r.key == key && r.context < CTX_COW {
                 // Stage 2: signal records keyed by this p2v handle.
-                let sb = Self::bucket_of(inner.buckets.len(), cur);
-                let mut scur = inner.buckets[sb];
-                while scur != 0 {
-                    let Some(s) = inner.records.get((scur - 1) as usize).copied() else {
-                        break;
-                    };
-                    if s.key == cur && s.context == CTX_SIGNAL {
+                for (_, s) in self.chain(h) {
+                    if s.key == h && s.context == CTX_SIGNAL {
                         f(s.dependent, r.context, Vaddr(r.dependent));
                     }
-                    scur = s.next;
                 }
             }
-            cur = r.next;
         }
     }
 
@@ -409,25 +357,23 @@ impl PhysMap {
     /// the affected physical-to-virtual record handles. Served from the
     /// per-thread signal index — O(signals of this thread), not an arena
     /// scan.
-    pub fn remove_signals_of_thread(&self, thread_slot: u32) -> Vec<RecHandle> {
-        let mut inner = self.inner.write();
-        let victims = inner.sig_index.remove(&thread_slot).unwrap_or_default();
+    pub fn remove_signals_of_thread(&mut self, thread_slot: u32) -> Vec<RecHandle> {
+        let victims = self.sig_index.remove(&thread_slot).unwrap_or_default();
         let mut affected = Vec::with_capacity(victims.len());
         for v in victims {
-            let Some(r) = inner.records.get(v as usize).copied() else {
+            let Some(r) = self.records.get(v as usize).copied() else {
                 continue;
             };
-            if !inner.live.get(v as usize).copied().unwrap_or(false)
+            if !self.live.get(v as usize).copied().unwrap_or(false)
                 || r.context != CTX_SIGNAL
                 || r.dependent != thread_slot
             {
                 continue; // defensive: stale index entry
             }
             affected.push(r.key);
-            Self::unlink(&mut inner, v);
+            self.unlink(v);
         }
         if !affected.is_empty() {
-            drop(inner);
             self.bump();
         }
         affected
@@ -438,29 +384,27 @@ impl PhysMap {
     /// thread (Fig. 6) and must be unloaded when it is. Served from the
     /// per-thread signal index, in attach order (deterministic).
     pub fn signal_mappings_of_thread(&self, thread_slot: u32) -> Vec<(Paddr, Vaddr, u32)> {
-        let inner = self.inner.read();
-        let Some(idxs) = inner.sig_index.get(&thread_slot) else {
+        let Some(idxs) = self.sig_index.get(&thread_slot) else {
             return Vec::new();
         };
         idxs.iter()
             .filter_map(|&i| {
-                let s = inner.records.get(i as usize).copied()?;
+                let s = self.records.get(i as usize).copied()?;
                 let idx = s.key.checked_sub(1)? as usize;
-                if !inner.live.get(idx).copied().unwrap_or(false) {
+                if !self.live.get(idx).copied().unwrap_or(false) {
                     return None;
                 }
-                let r = inner.records.get(idx).copied()?;
+                let r = self.records.get(idx).copied()?;
                 (r.context < CTX_COW).then_some((Paddr(r.key), Vaddr(r.dependent), r.context))
             })
             .collect()
     }
 
-    /// Visit all live records under one read lock, allocation-free (the
-    /// invariant checker's walk).
+    /// Visit all live records, allocation-free (the invariant checker's
+    /// walk).
     pub fn visit_records(&self, mut f: impl FnMut(RecHandle, &DepRecord)) {
-        let inner = self.inner.read();
-        for (i, r) in inner.records.iter().enumerate() {
-            if inner.live[i] {
+        for (i, r) in self.records.iter().enumerate() {
+            if self.live[i] {
                 f(i as u32 + 1, r);
             }
         }
@@ -477,9 +421,7 @@ impl PhysMap {
     /// Whether any live signal record targets `thread_slot`. Index probe,
     /// not an arena scan.
     pub fn thread_has_signals(&self, thread_slot: u32) -> bool {
-        let inner = self.inner.read();
-        inner
-            .sig_index
+        self.sig_index
             .get(&thread_slot)
             .is_some_and(|v| !v.is_empty())
     }
@@ -489,15 +431,14 @@ impl PhysMap {
     /// signal record appears in the index exactly once. Returns an error
     /// description on the first inconsistency (invariant checking).
     pub fn check_signal_index(&self) -> Result<(), String> {
-        let inner = self.inner.read();
         let mut indexed = 0usize;
-        for (&slot, idxs) in &inner.sig_index {
+        for (&slot, idxs) in &self.sig_index {
             for &i in idxs {
-                let r = inner
+                let r = self
                     .records
                     .get(i as usize)
                     .ok_or_else(|| format!("sig_index[{slot}] names out-of-range record {i}"))?;
-                if !inner.live.get(i as usize).copied().unwrap_or(false) {
+                if !self.live.get(i as usize).copied().unwrap_or(false) {
                     return Err(format!("sig_index[{slot}] names dead record {i}"));
                 }
                 if r.context != CTX_SIGNAL || r.dependent != slot {
@@ -506,11 +447,11 @@ impl PhysMap {
                 indexed += 1;
             }
         }
-        let live_signals = inner
+        let live_signals = self
             .records
             .iter()
             .enumerate()
-            .filter(|(i, r)| inner.live[*i] && r.context == CTX_SIGNAL)
+            .filter(|(i, r)| self.live[*i] && r.context == CTX_SIGNAL)
             .count();
         if indexed != live_signals {
             return Err(format!(
@@ -532,7 +473,7 @@ mod tests {
 
     #[test]
     fn p2v_roundtrip() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h = m.insert_p2v(Paddr(0x5123), Vaddr(0x9abc), 3).unwrap();
         // Addresses are recorded at page granularity.
         let found = m.find_p2v(Paddr(0x5fff));
@@ -554,7 +495,7 @@ mod tests {
 
     #[test]
     fn multiple_mappings_per_frame() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         m.insert_p2v(Paddr(0x1000), Vaddr(0xb000), 2).unwrap();
         m.insert_p2v(Paddr(0x2000), Vaddr(0xc000), 1).unwrap();
@@ -564,7 +505,7 @@ mod tests {
 
     #[test]
     fn signal_two_stage_lookup() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h1 = m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         let h2 = m.insert_p2v(Paddr(0x1000), Vaddr(0xb000), 2).unwrap();
         m.attach_signal(h1, 11).unwrap();
@@ -578,7 +519,7 @@ mod tests {
 
     #[test]
     fn remove_p2v_cascades_attached() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h = m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         m.attach_signal(h, 5).unwrap();
         m.attach_cow(h, Paddr(0x7000)).unwrap();
@@ -589,7 +530,7 @@ mod tests {
 
     #[test]
     fn cow_source_recorded() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h = m.insert_p2v(Paddr(0x3000), Vaddr(0xd000), 7).unwrap();
         assert_eq!(m.cow_source_of(h), None);
         m.attach_cow(h, Paddr(0x8123)).unwrap();
@@ -598,7 +539,7 @@ mod tests {
 
     #[test]
     fn remove_signals_of_thread() {
-        let m = PhysMap::new(64);
+        let mut m = PhysMap::new(64);
         let h1 = m.insert_p2v(Paddr(0x1000), Vaddr(0xa000), 1).unwrap();
         let h2 = m.insert_p2v(Paddr(0x2000), Vaddr(0xb000), 1).unwrap();
         m.attach_signal(h1, 9).unwrap();
@@ -614,7 +555,7 @@ mod tests {
 
     #[test]
     fn capacity_enforced() {
-        let m = PhysMap::new(2);
+        let mut m = PhysMap::new(2);
         m.insert_p2v(Paddr(0x1000), Vaddr(0x1000), 1).unwrap();
         m.insert_p2v(Paddr(0x2000), Vaddr(0x2000), 1).unwrap();
         assert!(m.insert_p2v(Paddr(0x3000), Vaddr(0x3000), 1).is_none());
@@ -623,7 +564,7 @@ mod tests {
 
     #[test]
     fn version_bumps_on_mutation_only() {
-        let m = PhysMap::new(8);
+        let mut m = PhysMap::new(8);
         let v0 = m.version();
         let h = m.insert_p2v(Paddr(0x1000), Vaddr(0x1000), 1).unwrap();
         let v1 = m.version();
@@ -636,7 +577,7 @@ mod tests {
 
     #[test]
     fn handle_reuse_after_free() {
-        let m = PhysMap::new(4);
+        let mut m = PhysMap::new(4);
         let h = m.insert_p2v(Paddr(0x1000), Vaddr(0x1000), 1).unwrap();
         m.remove_p2v(h).unwrap();
         let h2 = m.insert_p2v(Paddr(0x2000), Vaddr(0x2000), 1).unwrap();
@@ -646,16 +587,58 @@ mod tests {
         assert_eq!(m.find_p2v(Paddr(0x1000)), vec![]);
     }
 
+    /// Longest bucket chain, in records.
+    fn longest_chain(m: &PhysMap) -> usize {
+        (0..m.buckets.len())
+            .map(|b| {
+                let mut n = 0;
+                let mut cur = m.buckets[b];
+                while cur != 0 {
+                    n += 1;
+                    cur = m.records[(cur - 1) as usize].next;
+                }
+                n
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn page_aligned_keys_spread_over_buckets() {
+        // Page-aligned keys have 12 zero low bits; the hash must not
+        // let that collapse them into a handful of buckets.
+        let mut m = PhysMap::new(512);
+        for f in 0..512u32 {
+            m.insert_p2v(Paddr(f << 12), Vaddr(f << 12), 1).unwrap();
+        }
+        let longest = longest_chain(&m);
+        assert!(longest <= 16, "512 frames: longest chain {longest}");
+
+        // Table 1's 65 536 records, at an odd frame stride so every
+        // frame still fits a 32-bit address.
+        let mut m = PhysMap::new(65_536);
+        for i in 0..65_536u32 {
+            let frame = i * 7;
+            m.insert_p2v(Paddr(frame << 12), Vaddr(i << 12), 1).unwrap();
+        }
+        assert_eq!(m.len(), 65_536);
+        let longest = longest_chain(&m);
+        assert!(longest <= 16, "65 536 frames: longest chain {longest}");
+    }
+
     #[test]
     fn concurrent_hammer() {
-        use std::sync::Arc;
-        let m = Arc::new(PhysMap::new(10_000));
+        // The map has a single owner; threads that share one serialize
+        // through their own lock.
+        use std::sync::{Arc, Mutex};
+        let m = Arc::new(Mutex::new(PhysMap::new(10_000)));
         let mut handles = Vec::new();
         for t in 0..4u32 {
             let m = Arc::clone(&m);
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u32 {
                     let pa = Paddr(((t * 500 + i) % 128) << 12);
+                    let mut m = m.lock().unwrap();
                     if let Some(h) = m.insert_p2v(pa, Vaddr(i << 12), t) {
                         m.attach_signal(h, t);
                         let _ = m.signals_for(pa);
@@ -671,6 +654,7 @@ mod tests {
         }
         // All surviving records are internally consistent: every signal
         // record's key resolves to a live p2v record.
+        let m = m.lock().unwrap();
         let survivors = m.len();
         assert!(survivors > 0);
         for pa in 0..128u32 {
@@ -678,5 +662,12 @@ mod tests {
                 assert_eq!(t, asid); // by construction above
             }
         }
+        m.visit_records(|_, r| {
+            if r.context == CTX_SIGNAL {
+                let p2v = m.records[(r.key - 1) as usize];
+                assert!(m.live[(r.key - 1) as usize] && p2v.context < CTX_COW);
+            }
+        });
+        m.check_signal_index().unwrap();
     }
 }

@@ -49,7 +49,7 @@ proptest! {
 
     #[test]
     fn physmap_matches_model(ops in proptest::collection::vec(op(), 1..250)) {
-        let m = PhysMap::new(512);
+        let mut m = PhysMap::new(512);
         let mut model: HashMap<RecHandle, ModelRec> = HashMap::new();
         let mut handles: Vec<RecHandle> = Vec::new();
 

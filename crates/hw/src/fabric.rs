@@ -5,6 +5,7 @@
 //! packets enqueue toward a destination node and are drained by the cluster
 //! step loop, which hands them to the destination node's network interface.
 
+use crate::splitmix64;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A packet in flight between nodes.
@@ -77,16 +78,6 @@ pub struct Fabric {
     delayed: u64,
 }
 
-/// splitmix64 step — the same generator the fault plans use, kept local
-/// so the fabric's jitter stream is independent of every other stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl Fabric {
     /// A fabric connecting `nodes` MPMs.
     pub fn new(nodes: usize) -> Self {
@@ -143,7 +134,7 @@ impl Fabric {
         if self.jitter_permille > 0 {
             // Bounded downward jitter: the delay is the worst case, the
             // draw shaves off up to jitter_permille/1000 of it.
-            let r = splitmix(&mut self.jitter_rng) % 1_000;
+            let r = splitmix64(&mut self.jitter_rng) % 1_000;
             delay -= delay * r * self.jitter_permille as u64 / 1_000_000;
         }
         self.delayed += 1;

@@ -12,6 +12,17 @@
 //! slot numbers, cycles and frames. The executive above interprets
 //! "kill slot S" against its kernel table.
 
+/// One step of SplitMix64: advance `state`, return the mixed output.
+/// Every seeded stream in the workspace draws from this one generator,
+/// each from its own `state`.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64: a tiny, well-distributed PRNG. One stream per plan keeps
 /// frame-fate decisions independent of everything else in the simulation.
 #[derive(Clone, Debug)]
@@ -27,11 +38,7 @@ impl FaultRng {
 
     /// Next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform value in `[0, bound)`; 0 when `bound` is 0.

@@ -31,7 +31,7 @@ pub mod types;
 pub use clock::{CostModel, SimClock};
 pub use cpu::{Cpu, Fault, FaultKind, Mode, RegisterFile};
 pub use fabric::{Fabric, LinkStats, Packet};
-pub use faults::{FabricEvent, FaultPlan, FaultRng, FaultStats, FrameFate, KillPoint};
+pub use faults::{splitmix64, FabricEvent, FaultPlan, FaultRng, FaultStats, FrameFate, KillPoint};
 pub use l2::{L2Cache, L2Stats};
 pub use machine::{MachineConfig, Mpm, Translation};
 pub use mem::{MemError, PhysMem};

@@ -51,17 +51,6 @@ impl Default for Backoff {
     }
 }
 
-/// One step of the splitmix64 sequence: advance `state`, return the
-/// mixed output. The same generator `hw::FaultRng` uses, inlined here
-/// so the retry layer stays free of an `hw` dependency on its hot path.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl Backoff {
     /// The wait before attempt `attempt + 1`, given the kernel's
     /// `suggested` backoff from the shed: the suggestion doubled per
@@ -90,7 +79,7 @@ impl Backoff {
         if spread == 0 {
             return wait;
         }
-        let cut = splitmix(stream) % (spread + 1);
+        let cut = hw::splitmix64(stream) % (spread + 1);
         (wait as u64 - cut).max(1) as u32
     }
 }

@@ -52,7 +52,7 @@
 //! served by the lowest live node; a `NodeRejoined` restores it.
 
 use cache_kernel::{AppKernel, ClusterEvent, Env, FaultDisposition, ObjId, TrapDisposition};
-use hw::{Fault, Packet};
+use hw::{splitmix64, Fault, Packet};
 use libkern::{Backoff, Deadline, RetryBudget};
 use std::collections::BTreeMap;
 
@@ -282,18 +282,9 @@ struct Req {
     hedge_dst: usize,
 }
 
-/// One step of splitmix64 (same mix `hw::FaultRng` uses).
-fn mix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Uniform in [0, 1) from one splitmix draw (53-bit mantissa).
 fn unit(state: &mut u64) -> f64 {
-    (mix(state) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Exponential variate with the given mean, floored at 1 cycle.
@@ -420,7 +411,7 @@ impl WebFrontKernel {
             // Stagger first wakeups across one think time so a run
             // doesn't start with a synchronized thundering herd.
             for c in 0..cfg.clients {
-                let due = mix(&mut arrivals_rng) % think.max(1);
+                let due = splitmix64(&mut arrivals_rng) % think.max(1);
                 thinkers.insert((due, c), ());
             }
         }
@@ -514,7 +505,8 @@ impl WebFrontKernel {
         self.curve[w] += 1;
         if let Arrival::Closed { think } = self.cfg.arrival {
             let due = now + exp_interval(&mut self.arrivals_rng, think as f64);
-            self.thinkers.insert((due, mix(&mut self.arrivals_rng)), ());
+            self.thinkers
+                .insert((due, splitmix64(&mut self.arrivals_rng)), ());
         }
     }
 
@@ -549,7 +541,8 @@ impl WebFrontKernel {
     fn fail_closed_loop(&mut self, now: u64) {
         if let Arrival::Closed { think } = self.cfg.arrival {
             let due = now + exp_interval(&mut self.arrivals_rng, think as f64);
-            self.thinkers.insert((due, mix(&mut self.arrivals_rng)), ());
+            self.thinkers
+                .insert((due, splitmix64(&mut self.arrivals_rng)), ());
         }
     }
 
@@ -770,7 +763,8 @@ impl WebFrontKernel {
                         self.to_drop -= cancel;
                         for _ in 0..gone - cancel {
                             let due = now + exp_interval(&mut self.arrivals_rng, think as f64);
-                            self.thinkers.insert((due, mix(&mut self.arrivals_rng)), ());
+                            self.thinkers
+                                .insert((due, splitmix64(&mut self.arrivals_rng)), ());
                         }
                     } else {
                         self.to_drop = 0;

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench gate tests (a workspace of its own) =="
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo bench --no-run (benches must compile) =="
 cargo bench --workspace --no-run
 
@@ -32,6 +35,16 @@ cargo build -q -p vpp --example crash_recovery
 echo "== partition pinned seeds (membership, fencing, replay) =="
 cargo test -q -p vpp --test prop_partition pinned_partition
 cargo test -q -p vpp --test prop_partition fault_free_run_is_inert
+
+echo "== report rejects an unknown section =="
+# Not `! cmd`: `set -e` ignores a negated command, and a failed build
+# must not pass for a rejected section.
+status=0
+cargo run -q --release -p bench --bin report -- no-such-section 2> /dev/null || status=$?
+if [[ "$status" -ne 2 ]]; then
+  echo "report -- no-such-section exited $status, expected 2" >&2
+  exit 1
+fi
 
 echo "== partition report smoke =="
 cargo run -q --release -p bench --bin report -- partition > /dev/null
