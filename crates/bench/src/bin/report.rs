@@ -23,30 +23,31 @@ use hw::{Access, MachineConfig, Mpm, Paddr, Pte, Rights, Vaddr, PAGE_GROUP_SIZE,
 use sim_kernel::mp3d::{locality_comparison, Mp3dConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Every section `main` can run, in report order.
-const SECTIONS: &[&str] = &[
-    "table1",
-    "table2",
-    "trap",
-    "signal",
-    "fault",
-    "size",
-    "cache-sweep",
-    "overhead",
-    "mp3d",
-    "dist",
-    "policy",
-    "quota",
-    "rtlb",
-    "teardown",
-    "recovery",
-    "overload",
-    "partition",
-    "serve",
-    "gray",
-    "throughput",
-    "msg",
-    "caps",
+/// Every section `main` can run, in report order, with the function
+/// that prints it.
+const SECTIONS: &[(&str, fn())] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("trap", trap),
+    ("signal", signal),
+    ("fault", fault),
+    ("size", size),
+    ("cache-sweep", cache_sweep),
+    ("overhead", overhead),
+    ("mp3d", mp3d),
+    ("dist", dist),
+    ("policy", policy),
+    ("quota", quota),
+    ("rtlb", rtlb),
+    ("teardown", teardown),
+    ("recovery", recovery),
+    ("overload", overload),
+    ("partition", partition),
+    ("serve", serve),
+    ("gray", gray),
+    ("throughput", throughput),
+    ("msg", msg),
+    ("caps", caps),
 ];
 
 fn main() {
@@ -57,80 +58,19 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".into());
-    if arg != "all" && !SECTIONS.contains(&arg.as_str()) {
+    if arg != "all" && !SECTIONS.iter().any(|&(name, _)| name == arg) {
+        let names: Vec<&str> = SECTIONS.iter().map(|&(name, _)| name).collect();
         eprintln!(
             "report: unknown section `{arg}`; known sections: all, {}",
-            SECTIONS.join(", ")
+            names.join(", ")
         );
         std::process::exit(2);
     }
-    let run = |name: &str| arg == "all" || arg == name;
     println!("# V++ Cache Kernel — evaluation report\n");
-    if run("table1") {
-        table1();
-    }
-    if run("table2") {
-        table2();
-    }
-    if run("trap") {
-        trap();
-    }
-    if run("signal") {
-        signal();
-    }
-    if run("fault") {
-        fault();
-    }
-    if run("size") {
-        size();
-    }
-    if run("cache-sweep") {
-        cache_sweep();
-    }
-    if run("overhead") {
-        overhead();
-    }
-    if run("mp3d") {
-        mp3d();
-    }
-    if run("dist") {
-        dist();
-    }
-    if run("policy") {
-        policy();
-    }
-    if run("quota") {
-        quota();
-    }
-    if run("rtlb") {
-        rtlb();
-    }
-    if run("teardown") {
-        teardown();
-    }
-    if run("recovery") {
-        recovery();
-    }
-    if run("overload") {
-        overload();
-    }
-    if run("partition") {
-        partition();
-    }
-    if run("serve") {
-        serve();
-    }
-    if run("gray") {
-        gray();
-    }
-    if run("throughput") {
-        throughput();
-    }
-    if run("msg") {
-        msg();
-    }
-    if run("caps") {
-        caps();
+    for &(name, section) in SECTIONS {
+        if arg == "all" || arg == name {
+            section();
+        }
     }
 }
 
@@ -1468,11 +1408,11 @@ fn quota() {
     println!("|-------:|------------:|:-------------:|:--------------:|");
     for step in 1..=6 {
         ex.run(100);
-        let period = ex.ck.config.accounting_period;
         println!(
             "| {:>6} | {:>10.1}% | {:^13} | {:^14} |",
             step * 100,
-            ex.ck.kernel_usage_pct(rogue, 0, period),
+            ex.ck
+                .kernel_usage_pct(rogue, 0, cache_kernel::ck::ACCOUNTING_PERIOD),
             ex.ck.kernel_demoted(rogue),
             ex.ck.kernel_demoted(polite)
         );
@@ -1970,7 +1910,7 @@ fn overload() {
 // A-partition — §3 partition tolerance and DSM ownership recovery
 // ---------------------------------------------------------------------
 
-/// One 3-node partition run: cut [0,1]|[2] at 300k cycles, heal at
+/// One 3-node partition run: cut `[0,1]|[2]` at 300k cycles, heal at
 /// `heal_at`, halt node 1 at `heal_at + 300k`. Returns per-node
 /// (progress, skipped) plus summed recovery counters.
 struct PartitionOutcome {
@@ -2540,7 +2480,7 @@ struct GraySpec {
     /// Stretch the hedge delay with the per-node service-time EWMA
     /// instead of firing at the fixed `hedge_after` floor.
     adaptive: bool,
-    /// `flat` | `page-io`: the tier backing the last node's front-cache
+    /// `flat` | `page-io`: the cost of the last node's front-cache
     /// misses. `page-io` charges the DbKernel page-in cost on every
     /// miss — endogenous slowness with no fabric fault at all.
     fetch: &'static str,
@@ -2584,8 +2524,8 @@ fn gray_once(spec: &GraySpec) -> GrayCell {
     use vpp::libkern::{Backoff, RetryBudget};
     use vpp::srm::Srm;
     use vpp::workloads::web_serving::{
-        latency_percentile, mttr, Arrival, PageIoTier, WebFrontKernel, WebServingConfig,
-        LAT_BUCKETS, WEB_CHANNEL,
+        latency_percentile, mttr, Arrival, WebFrontKernel, WebServingConfig, LAT_BUCKETS,
+        WEB_CHANNEL,
     };
     use vpp::{boot_cluster, BootConfig};
 
@@ -2637,49 +2577,44 @@ fn gray_once(spec: &GraySpec) -> GrayCell {
             })
             .unwrap()
             .expect("grant available");
-        ex.register_kernel(
-            id,
-            Box::new(WebFrontKernel::new(WebServingConfig {
-                node,
-                cluster_nodes: n,
-                clients: 2_000,
-                keys: 1_024,
-                // Light load: latency must resolve *under* the
-                // deadline for the straggler's tail to be visible, so
-                // the offered rate stays well below the point where
-                // serving charges dilate the fabric round-trip.
-                arrival: Arrival::Open { per_mcycle: 0.08 },
-                // Wide enough that even the deep straggler's round
-                // trip resolves to a *measured* completion instead of
-                // an expiry — the bench is about the latency tail, and
-                // a survivor-only histogram would hide it.
-                deadline: 1_200_000,
-                max_inflight: 256,
-                retry: Backoff {
-                    max_attempts: 6,
-                    cap: 40_000,
-                    jitter_permille: 300,
-                },
-                budget: RetryBudget::new(512, 200),
-                cache_pages: 64,
-                gen_window: 25_000,
-                hedge_after: if spec.hedge { 30_000 } else { 0 },
-                hedge_ewma_permille: if spec.hedge && spec.adaptive {
-                    2_000
-                } else {
-                    0
-                },
-                steer: spec.hedge,
-                seed,
-                ..WebServingConfig::default()
-            })),
-        );
+        let mut cfg = WebServingConfig {
+            node,
+            cluster_nodes: n,
+            clients: 2_000,
+            keys: 1_024,
+            // Light load: latency must resolve *under* the
+            // deadline for the straggler's tail to be visible, so
+            // the offered rate stays well below the point where
+            // serving charges dilate the fabric round-trip.
+            arrival: Arrival::Open { per_mcycle: 0.08 },
+            // Wide enough that even the deep straggler's round
+            // trip resolves to a *measured* completion instead of
+            // an expiry — the bench is about the latency tail, and
+            // a survivor-only histogram would hide it.
+            deadline: 1_200_000,
+            max_inflight: 256,
+            retry: Backoff {
+                max_attempts: 6,
+                cap: 40_000,
+                jitter_permille: 300,
+            },
+            budget: RetryBudget::new(512, 200),
+            cache_pages: 64,
+            gen_window: 25_000,
+            hedge_after: if spec.hedge { 30_000 } else { 0 },
+            hedge_ewma_permille: if spec.hedge && spec.adaptive {
+                2_000
+            } else {
+                0
+            },
+            steer: spec.hedge,
+            seed,
+            ..WebServingConfig::default()
+        };
         if spec.fetch == "page-io" && node == n - 1 {
-            ex.with_kernel::<WebFrontKernel, _>(id, |k, _| {
-                k.set_fetch_tier(Box::new(PageIoTier::default()));
-            })
-            .unwrap();
+            cfg.miss_fetch = ex.mpm.config.cost.page_io;
         }
+        ex.register_kernel(id, Box::new(WebFrontKernel::new(cfg)));
         ex.register_channel(WEB_CHANNEL, id);
         ids.push(id);
     }

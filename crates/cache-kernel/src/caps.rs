@@ -6,8 +6,7 @@
 //! grant *at the boundary*, not just at mapping install. This module is
 //! that boundary layer: one verdict helper used by `load_mapping` and
 //! friends, an explicit check for the surfaces that historically trusted
-//! their caller (writeback targets, grant modification), and the opaque
-//! payload handle of metadata-only caching.
+//! their caller (writeback targets, grant modification).
 //!
 //! Everything here is gated on [`CkConfig::caps_enforce`] and off by
 //! default: with the knob down, the legacy error shapes
@@ -63,18 +62,6 @@ impl CapOp {
             CapOp::GrantChange => "grant-change",
         }
     }
-}
-
-/// The opaque payload handle shipped on mapping writebacks in
-/// metadata-only mode (`CkConfig::metadata_only`): the Cache Kernel
-/// tracks residency and consistency for pages whose *contents* it cannot
-/// read, so the writeback carries a content-free token the owning kernel
-/// can join against its own backing store instead of page data. The
-/// mixing is fixed and deterministic — identical runs replay identical
-/// handles — but not the raw frame number, so a handle leaks nothing a
-/// kernel does not already know about its own page.
-pub fn opaque_payload(paddr: Paddr) -> u64 {
-    (paddr.0 as u64 ^ 0x9e37_79b9_7f4a_7c15).wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
 impl CacheKernel {
@@ -281,7 +268,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, CkError::NoAccess(Paddr(PAGE_GROUP_SIZE)));
         assert_eq!(ck.stats.cap_denied, 0);
-        assert_eq!(ck.stats.metadata_writebacks, 0);
         assert!(!ck
             .drain_events()
             .iter()
@@ -372,7 +358,6 @@ mod tests {
             vaddr: Vaddr(0x1000),
             paddr: Paddr(PAGE_GROUP_SIZE),
             flags: 0,
-            payload: 0,
         };
         let err = ck.submit_writeback(mal, wb).unwrap_err();
         assert!(matches!(err, CkError::CapDenied { .. }));
@@ -387,7 +372,6 @@ mod tests {
                 vaddr: Vaddr(0x1000),
                 paddr: Paddr(0x3000),
                 flags: 0,
-                payload: 0,
             },
         )
         .unwrap();
@@ -467,65 +451,5 @@ mod tests {
         assert!(wbs.iter().all(|w| w.owner() == k));
         ck.check_invariants().unwrap();
         ck.check_visibility(&mpm).unwrap();
-    }
-
-    #[test]
-    fn metadata_only_ships_opaque_payload_handles() {
-        let (mut ck, mut mpm, srm) = setup_with(CkConfig {
-            metadata_only: true,
-            ..CkConfig::default()
-        });
-        let sp = ck.load_space(srm, SpaceDesc::default(), &mut mpm).unwrap();
-        ck.load_mapping(
-            srm,
-            sp,
-            Vaddr(0x5000),
-            Paddr(0x9000),
-            Pte::WRITABLE,
-            None,
-            None,
-            &mut mpm,
-        )
-        .unwrap();
-        // Replacing the mapping displaces the old one: metadata-only
-        // writeback, content-free handle attached.
-        ck.load_mapping(
-            srm,
-            sp,
-            Vaddr(0x5000),
-            Paddr(0xa000),
-            Pte::WRITABLE,
-            None,
-            None,
-            &mut mpm,
-        )
-        .unwrap();
-        let wbs = ck.take_writebacks();
-        assert_eq!(wbs.len(), 1);
-        match &wbs[0] {
-            Writeback::Mapping { paddr, payload, .. } => {
-                assert_eq!(*paddr, Paddr(0x9000));
-                assert_eq!(*payload, opaque_payload(Paddr(0x9000)));
-                assert_ne!(*payload, 0);
-            }
-            other => panic!("unexpected writeback {other:?}"),
-        }
-        assert_eq!(ck.stats.metadata_writebacks, 1);
-        // Off by default: the handle stays zero and the counter silent.
-        ck.config.metadata_only = false;
-        ck.load_mapping(
-            srm,
-            sp,
-            Vaddr(0x5000),
-            Paddr(0xb000),
-            Pte::WRITABLE,
-            None,
-            None,
-            &mut mpm,
-        )
-        .unwrap();
-        let wbs = ck.take_writebacks();
-        assert!(matches!(&wbs[0], Writeback::Mapping { payload: 0, .. }));
-        assert_eq!(ck.stats.metadata_writebacks, 1);
     }
 }

@@ -19,8 +19,15 @@ use std::collections::{BTreeMap, VecDeque};
 
 // These types began life in this module; most of the tree (and external
 // crates) still name them through `ck::`.
-pub use crate::counters::{CkStats, Counters, STAT_MAPPING};
+pub use crate::counters::{Counters, STAT_MAPPING};
 pub use crate::events::{KernelEvent, MappingState, Writeback};
+
+/// Accounting period, in cycles (§4.3 quota enforcement granularity).
+pub const ACCOUNTING_PERIOD: u64 = 100_000;
+
+/// Event queue bound. At the bound, accounting ticks are dropped with a
+/// counter; load-bearing events always enter.
+pub const EVENT_QUEUE_BOUND: usize = 65_536;
 
 /// Boot-time configuration of a Cache Kernel instance. Defaults match the
 /// prototype of Table 1: 16 kernels, 64 address spaces, 256 threads and
@@ -37,16 +44,11 @@ pub struct CkConfig {
     pub mapping_capacity: usize,
     /// Scheduler time slice, in executor steps.
     pub slice: u32,
-    /// Accounting period, in cycles (§4.3 quota enforcement granularity).
-    pub accounting_period: u64,
     /// Per-application-kernel writeback queue bound (0 = unbounded).
     /// At the bound, further writebacks addressed to the kernel spill to
     /// the first kernel and the slow kernel's own loads are shed with
     /// [`CkError::Again`](crate::error::CkError).
     pub wb_queue_bound: usize,
-    /// Event queue bound (0 = unbounded). At the bound, accounting ticks
-    /// are dropped with a counter; load-bearing events always enter.
-    pub event_queue_bound: usize,
     /// Thrash-detector window, in per-class loads (0 = detector off): a
     /// displacement→reload interval at or below this counts as a fast
     /// reload.
@@ -56,13 +58,6 @@ pub struct CkConfig {
     /// Penalty duration after the detector fires, in per-class loads:
     /// the offender's objects get no second chance from the clock hand.
     pub thrash_penalty: u64,
-    /// Cache-occupancy watermark (percent) above which the share cap is
-    /// enforced.
-    pub watermark_pct: u8,
-    /// Per-kernel share cap (percent of a cache's slots; 100 = off):
-    /// past the watermark, a kernel already holding this share of a
-    /// cache has further loads of that class shed.
-    pub share_cap_pct: u8,
     /// Base suggested backoff carried in `Again`, in cycles.
     pub shed_backoff: u32,
     /// Per-thread signal queue bound (0 = unbounded, the default).
@@ -94,14 +89,6 @@ pub struct CkConfig {
     /// mappings in one batched shootdown round. The first kernel is
     /// exempt throughout.
     pub caps_enforce: bool,
-    /// MProtect-style metadata-only descriptor mode (default off): the
-    /// Cache Kernel tracks residency and consistency for pages whose
-    /// contents it cannot read. Mapping writebacks carry an opaque
-    /// payload handle ([`caps::opaque_payload`](crate::caps)) instead of
-    /// implying readable page data, counted in `metadata_writebacks`;
-    /// reclaim and recovery already operate purely on descriptor
-    /// metadata, so no other path changes.
-    pub metadata_only: bool,
 }
 
 impl Default for CkConfig {
@@ -112,19 +99,14 @@ impl Default for CkConfig {
             thread_slots: 256,
             mapping_capacity: 65_536,
             slice: 50,
-            accounting_period: 100_000,
             wb_queue_bound: 0,
-            event_queue_bound: 65_536,
             thrash_window: 0,
             thrash_threshold: 4,
             thrash_penalty: 64,
-            watermark_pct: 100,
-            share_cap_pct: 100,
             shed_backoff: 500,
             signal_queue_bound: 0,
             shard_fanout: 0,
             caps_enforce: false,
-            metadata_only: false,
         }
     }
 }
@@ -198,7 +180,7 @@ pub struct CacheKernel {
     /// Configuration.
     pub config: CkConfig,
     /// Operation counters.
-    pub stats: CkStats,
+    pub stats: Counters,
 }
 
 impl CacheKernel {
@@ -228,7 +210,7 @@ impl CacheKernel {
             overload: crate::overload::OverloadState::default(),
             shard_exports: Vec::new(),
             config,
-            stats: CkStats::default(),
+            stats: Counters::default(),
         }
     }
 
@@ -257,8 +239,8 @@ impl CacheKernel {
         self.kernels.get_mut(id).unwrap().owner = id;
         self.first_kernel = Some(id);
         self.accounts.insert(id.slot, KernelAccount::default());
-        self.stats.loads[CkStats::idx(ObjKind::Kernel)] += 1;
-        self.note_loaded(id, CkStats::idx(ObjKind::Kernel));
+        self.stats.loads[Counters::idx(ObjKind::Kernel)] += 1;
+        self.note_loaded(id, Counters::idx(ObjKind::Kernel));
         id
     }
 
@@ -362,8 +344,8 @@ impl CacheKernel {
             })
             .ok_or(CkError::CacheFull)?;
         self.accounts.insert(id.slot, KernelAccount::default());
-        self.stats.loads[CkStats::idx(ObjKind::Kernel)] += 1;
-        self.note_loaded(caller, CkStats::idx(ObjKind::Kernel));
+        self.stats.loads[Counters::idx(ObjKind::Kernel)] += 1;
+        self.note_loaded(caller, Counters::idx(ObjKind::Kernel));
         Ok(id)
     }
 
@@ -384,7 +366,7 @@ impl CacheKernel {
         self.kernel(id)?;
         self.charge_op(mpm, 0);
         let desc = self.do_unload_kernel(id, mpm)?;
-        self.stats.unloads[CkStats::idx(ObjKind::Kernel)] += 1;
+        self.stats.unloads[Counters::idx(ObjKind::Kernel)] += 1;
         Ok(desc)
     }
 
@@ -507,8 +489,8 @@ impl CacheKernel {
         if desc.locked && k.locked_spaces >= k.desc.locked_quota.spaces {
             return Err(CkError::LockQuota);
         }
-        let class = CkStats::idx(ObjKind::AddrSpace);
-        self.admit_load(caller, class, self.spaces.len(), self.spaces.capacity())?;
+        let class = Counters::idx(ObjKind::AddrSpace);
+        self.admit_load(caller)?;
         // Root page table (512 B) plus the root object.
         self.charge_op(
             mpm,
@@ -547,7 +529,7 @@ impl CacheKernel {
         // round, charged at the batch flush.
         self.charge_op(mpm, 0);
         self.do_unload_space(id, mpm, false)?;
-        self.stats.unloads[CkStats::idx(ObjKind::AddrSpace)] += 1;
+        self.stats.unloads[Counters::idx(ObjKind::AddrSpace)] += 1;
         Ok(())
     }
 
@@ -577,8 +559,8 @@ impl CacheKernel {
         if space.owner != caller {
             return Err(CkError::NotOwner(desc.space));
         }
-        let class = CkStats::idx(ObjKind::Thread);
-        self.admit_load(caller, class, self.threads.len(), self.threads.capacity())?;
+        let class = Counters::idx(ObjKind::Thread);
+        self.admit_load(caller)?;
         // Copy the register context in and queue the thread.
         self.charge_op(
             mpm,
@@ -628,7 +610,7 @@ impl CacheKernel {
         }
         self.charge_op(mpm, 0);
         let desc = self.do_unload_thread(id, mpm)?;
-        self.stats.unloads[CkStats::idx(ObjKind::Thread)] += 1;
+        self.stats.unloads[Counters::idx(ObjKind::Thread)] += 1;
         Ok(desc)
     }
 

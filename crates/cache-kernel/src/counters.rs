@@ -146,10 +146,6 @@ pub struct Counters {
     /// against raised `CapViolation` events. Never moves with the knob
     /// off.
     pub cap_denied: u64,
-    /// Mapping writebacks shipped with an opaque payload handle in
-    /// metadata-only mode (`metadata_only`). Never moves with the knob
-    /// off.
-    pub metadata_writebacks: u64,
     /// Serving workload: requests admitted by a front kernel (folded
     /// from `web_serving` stats; never moves without the workload).
     pub requests_admitted: u64,
@@ -179,10 +175,6 @@ pub struct Counters {
     /// delay schedule reorders the fabric. Delivered normally.
     pub frames_reordered: u64,
 }
-
-/// The historical name: the counters began as the Cache Kernel's stats
-/// block and the harness reads them under this alias.
-pub type CkStats = Counters;
 
 /// Index of the mapping "kind" in the stats arrays.
 pub const STAT_MAPPING: usize = 3;

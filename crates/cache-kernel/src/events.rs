@@ -319,12 +319,6 @@ pub enum Writeback {
         paddr: Paddr,
         /// Final PTE flag bits (REFERENCED/MODIFIED/WRITABLE/…).
         flags: u32,
-        /// Opaque payload handle in metadata-only mode
-        /// (`CkConfig::metadata_only`): a content-free token the owning
-        /// kernel joins against its own backing store, standing in for
-        /// page data the Cache Kernel cannot read. Always 0 when the
-        /// mode is off.
-        payload: u64,
     },
     /// A thread's full state.
     Thread {
@@ -391,8 +385,9 @@ impl CacheKernel {
     /// Enter an event into the pipeline. The single choke point where
     /// the [`Counters`](crate::counters::Counters) registry is ticked.
     ///
-    /// The queue is explicitly bounded (`CkConfig::event_queue_bound`).
-    /// At the bound the lowest-value traffic — accounting ticks, whose
+    /// The queue is explicitly bounded
+    /// ([`EVENT_QUEUE_BOUND`](crate::ck::EVENT_QUEUE_BOUND)). At the
+    /// bound the lowest-value traffic — accounting ticks, whose
     /// books the next period closes anyway — is dropped with a counter
     /// instead of growing the queue without limit; load-bearing events
     /// always enter (loads are backpressured at admission, not here).
@@ -400,12 +395,11 @@ impl CacheKernel {
     /// emitted/delivered balance stays exact.
     #[inline]
     pub fn emit(&mut self, ev: KernelEvent) {
-        if matches!(ev, KernelEvent::AccountingPeriodEnd { .. }) {
-            let bound = self.config.event_queue_bound;
-            if bound != 0 && self.events.len() >= bound {
-                self.stats.events_dropped += 1;
-                return;
-            }
+        if matches!(ev, KernelEvent::AccountingPeriodEnd { .. })
+            && self.events.len() >= crate::ck::EVENT_QUEUE_BOUND
+        {
+            self.stats.events_dropped += 1;
+            return;
         }
         self.stats.tick(&ev);
         self.events.push_back(ev);
@@ -508,7 +502,7 @@ impl CacheKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ck::CkConfig;
+    use crate::ck::{CkConfig, EVENT_QUEUE_BOUND};
     use crate::ids::ObjKind;
 
     #[test]
@@ -549,5 +543,30 @@ mod tests {
         // The two period-end events survive, in order.
         let kinds: Vec<String> = ck.drain_events().iter().map(|e| e.describe()).collect();
         assert_eq!(kinds, vec!["period-end period=1", "period-end period=2"]);
+    }
+
+    #[test]
+    fn full_queue_drops_accounting_ticks_but_admits_writebacks() {
+        let mut ck = CacheKernel::new(CkConfig::default());
+        for period in 0..EVENT_QUEUE_BOUND as u64 {
+            ck.emit(KernelEvent::AccountingPeriodEnd { period });
+        }
+        let periods = ck.stats.accounting_periods;
+        assert_eq!(ck.pending_events(), EVENT_QUEUE_BOUND);
+        assert_eq!(ck.stats.events_dropped, 0);
+        // At the bound an accounting tick is dropped: counted, not
+        // queued, and not ticked as an emitted period.
+        ck.emit(KernelEvent::AccountingPeriodEnd { period: 0 });
+        assert_eq!(ck.stats.events_dropped, 1);
+        assert_eq!(ck.pending_events(), EVENT_QUEUE_BOUND);
+        assert_eq!(ck.stats.accounting_periods, periods);
+        // A writeback is load-bearing and still enters past the bound.
+        ck.queue_writeback(Writeback::Space {
+            owner: ObjId::new(ObjKind::Kernel, 0, 1),
+            id: ObjId::new(ObjKind::AddrSpace, 3, 1),
+        });
+        assert_eq!(ck.pending_events(), EVENT_QUEUE_BOUND + 1);
+        assert_eq!(ck.pending_writebacks(), 1);
+        assert_eq!(ck.stats.events_dropped, 1);
     }
 }

@@ -59,13 +59,6 @@ impl Executive {
         }
     }
 
-    /// Deliver queued writebacks (and any other pending events) to their
-    /// owning application kernels. Retained name from the pre-pipeline
-    /// interface; it is now a pump alias.
-    pub fn dispatch_writebacks(&mut self) {
-        self.pump_events();
-    }
-
     fn deliver_event(&mut self, ev: KernelEvent) {
         match ev {
             KernelEvent::FaultForward {
@@ -299,7 +292,7 @@ impl Executive {
     }
 
     pub(crate) fn close_accounting_period(&mut self) {
-        let period = self.ck.config.accounting_period;
+        let period = crate::ck::ACCOUNTING_PERIOD;
         let now = self.mpm.clock.cycles();
         if now - self.last_period_end >= period {
             self.last_period_end = now;

@@ -73,11 +73,6 @@ pub struct ShardConfig {
     pub threads: bool,
     /// Idle shards steal backlog jobs from their peers.
     pub steal: bool,
-    /// Wall-clock seconds the free-running quiescence watchdog allows a
-    /// run before force-stopping it. Injected delay schedules slow
-    /// *simulated* delivery, not host time, so they must extend a run
-    /// within this bound — never trip it.
-    pub watchdog_secs: u64,
     /// Cache-Kernel configuration template (`shard_fanout` is set to
     /// the shard count automatically).
     pub ck: CkConfig,
@@ -94,7 +89,6 @@ impl Default for ShardConfig {
             ring_capacity: 256,
             threads: false,
             steal: true,
-            watchdog_secs: 60,
             ck: CkConfig::default(),
             machine: MachineConfig::default(),
         }
@@ -230,9 +224,6 @@ pub struct Machine {
     pub mode: RunMode,
     /// Idle shards steal backlog jobs from their peers.
     pub steal: bool,
-    /// Free-running watchdog bound in wall-clock seconds (see
-    /// [`ShardConfig::watchdog_secs`]).
-    pub watchdog_secs: u64,
 }
 
 /// The historical name for the classic multi-MPM configuration: every
@@ -252,7 +243,6 @@ impl Machine {
             mesh: None,
             mode: RunMode::Lockstep,
             steal: false,
-            watchdog_secs: 60,
         }
     }
 
@@ -285,7 +275,6 @@ impl Machine {
                 RunMode::Lockstep
             },
             steal: cfg.steal,
-            watchdog_secs: cfg.watchdog_secs.max(1),
         }
     }
 
@@ -616,7 +605,7 @@ impl Machine {
                     })
                 })
                 .collect();
-            coordinate(flags, in_flight, n, self.watchdog_secs);
+            coordinate(flags, in_flight, n);
             for h in handles {
                 used = used.max(h.join().unwrap_or(0));
             }
@@ -631,6 +620,12 @@ impl Machine {
     }
 }
 
+/// Wall-clock seconds the free-running quiescence watchdog allows a run
+/// before force-stopping it. Injected delay schedules slow *simulated*
+/// delivery, not host time, so they must extend a run within this bound
+/// — never trip it.
+const WATCHDOG_SECS: u64 = 60;
+
 /// The termination coordinator for one free-running run. It never
 /// touches shard state; it only watches the flags and the in-flight
 /// count, and raises `stop` once the machine has settled: every shard
@@ -641,7 +636,7 @@ impl Machine {
 /// stable double-read really is quiescence). A generous wall-clock
 /// watchdog bounds the run even if a worker misbehaves — the machine
 /// degrades, it never hangs.
-fn coordinate(flags: &RunFlags, in_flight: &AtomicU64, n: usize, watchdog_secs: u64) {
+fn coordinate(flags: &RunFlags, in_flight: &AtomicU64, n: usize) {
     let start = std::time::Instant::now();
     loop {
         if flags.settled(n) && in_flight.load(Ordering::SeqCst) == 0 {
@@ -651,7 +646,7 @@ fn coordinate(flags: &RunFlags, in_flight: &AtomicU64, n: usize, watchdog_secs: 
                 return;
             }
         }
-        if start.elapsed().as_secs() >= watchdog_secs {
+        if start.elapsed().as_secs() >= WATCHDOG_SECS {
             flags.stop.store(true, Ordering::SeqCst);
             return;
         }
@@ -1062,33 +1057,17 @@ mod tests {
         assert!(m.nodes[1].mpm.halted);
     }
 
-    /// The quiescence watchdog is a config knob, not a 60-second
-    /// constant: the bound plumbs through `ShardConfig`, zero clamps to
-    /// a one-second floor, and a healthy threaded run settles through
-    /// real quiescence well inside even a tight bound — injected delay
-    /// schedules stretch *simulated* delivery, never host time, so they
-    /// extend a run without tripping the wall clock.
+    /// A healthy threaded run settles through real quiescence well
+    /// inside the watchdog bound — injected delay schedules stretch
+    /// *simulated* delivery, never host time, so they extend a run
+    /// without tripping the wall clock.
     #[test]
-    fn watchdog_bound_is_configurable() {
-        let m = Machine::sharded(ShardConfig {
-            shards: 2,
-            watchdog_secs: 7,
-            ..ShardConfig::default()
-        });
-        assert_eq!(m.watchdog_secs, 7);
-        let m = Machine::sharded(ShardConfig {
-            shards: 2,
-            watchdog_secs: 0,
-            ..ShardConfig::default()
-        });
-        assert_eq!(m.watchdog_secs, 1, "zero clamps to the one-second floor");
-
+    fn healthy_threaded_run_settles_before_the_watchdog() {
         let mut m = Machine::sharded(ShardConfig {
             shards: 2,
             threads: true,
             ring_capacity: 8,
             steal: false,
-            watchdog_secs: 20,
             ..ShardConfig::default()
         });
         let mut steps = Vec::new();
@@ -1103,7 +1082,7 @@ mod tests {
         let start = std::time::Instant::now();
         m.run_until_idle(10_000);
         assert!(
-            start.elapsed().as_secs() < 20,
+            start.elapsed().as_secs() < WATCHDOG_SECS,
             "healthy run quiesced via settling, not the watchdog"
         );
         assert_eq!(m.in_flight(), 0);

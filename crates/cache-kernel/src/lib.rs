@@ -89,8 +89,8 @@ pub mod sigbatch;
 pub(crate) mod test_support;
 
 pub use appkernel::{AppKernel, Env, NullKernel};
-pub use caps::{opaque_payload, CapOp};
-pub use ck::{CacheKernel, CkConfig, CkStats, MappingState, Writeback, STAT_MAPPING};
+pub use caps::CapOp;
+pub use ck::{CacheKernel, CkConfig, MappingState, Writeback, STAT_MAPPING};
 pub use counters::Counters;
 pub use drivers::EtherDriver;
 pub use error::{CkError, CkResult};

@@ -98,12 +98,7 @@ impl CacheKernel {
             None => None,
         };
 
-        self.admit_load(
-            caller,
-            STAT_MAPPING,
-            self.physmap.len(),
-            self.physmap.capacity(),
-        )?;
+        self.admit_load(caller)?;
 
         // One trap, a couple of probes, one 16-byte record.
         self.charge_op(

@@ -218,24 +218,14 @@ impl crate::ck::CacheKernel {
         CkError::Again { backoff }
     }
 
-    /// Overload admission for a load of `class` by `caller` into a cache
-    /// currently holding `len` of `cap` slots. Runs before any charge or
-    /// stats tick, so a shed load leaves no trace beyond `loads_shed`.
-    ///
-    /// Two sheds live here (the third, reservation defence, sits in
-    /// victim selection where the candidate victims are known):
-    /// writeback backpressure — a kernel sitting on a full writeback
-    /// queue may not load more until it drains — and the share watermark
-    /// — past `watermark_pct` occupancy a kernel already holding
-    /// `share_cap_pct` of the cache is shed. The first kernel is never
-    /// shed; it must stay able to act as recovery and spill target.
-    pub(crate) fn admit_load(
-        &mut self,
-        caller: ObjId,
-        class: usize,
-        len: usize,
-        cap: usize,
-    ) -> CkResult<()> {
+    /// Overload admission for a load by `caller`: writeback
+    /// backpressure. A kernel sitting on a full writeback queue may not
+    /// load more until it drains. Runs before any charge or stats tick,
+    /// so a shed load leaves no trace beyond `loads_shed`. (The other
+    /// shed, reservation defence, sits in victim selection where the
+    /// candidate victims are known.) The first kernel is never shed; it
+    /// must stay able to act as recovery and spill target.
+    pub(crate) fn admit_load(&mut self, caller: ObjId) -> CkResult<()> {
         if Some(caller) == self.first_kernel {
             return Ok(());
         }
@@ -244,18 +234,6 @@ impl crate::ck::CacheKernel {
             // Draining a full queue takes longer than a slot coming
             // free: suggest double the base wait.
             let backoff = self.config.shed_backoff.saturating_mul(2);
-            return Err(self.shed_load(caller, backoff));
-        }
-        let cap_pct = usize::from(self.config.share_cap_pct);
-        let watermark = usize::from(self.config.watermark_pct);
-        if cap_pct < 100
-            && cap > 0
-            && len * 100 >= cap * watermark
-            && usize::try_from(self.overload.resident(caller.slot, class)).unwrap_or(usize::MAX)
-                * 100
-                >= cap * cap_pct
-        {
-            let backoff = self.config.shed_backoff;
             return Err(self.shed_load(caller, backoff));
         }
         Ok(())

@@ -18,7 +18,7 @@
 //! Locking protects an object from *reclamation* only while the objects it
 //! depends on are locked as well; explicit unloads always proceed.
 
-use crate::ck::{CacheKernel, CkStats, MappingState, Writeback, STAT_MAPPING};
+use crate::ck::{CacheKernel, Counters, MappingState, Writeback, STAT_MAPPING};
 use crate::error::{CkError, CkResult};
 use crate::ids::{ObjId, ObjKind};
 use crate::objects::{KernelDesc, ThreadDesc, ThreadState};
@@ -115,22 +115,12 @@ impl CacheKernel {
             flags: pte.flags(),
         };
         if queue_wb {
-            // Metadata-only mode: the Cache Kernel cannot read the page,
-            // so the writeback carries a content-free handle the owner
-            // joins against its own backing store.
-            let payload = if self.config.metadata_only {
-                self.stats.metadata_writebacks += 1;
-                crate::caps::opaque_payload(paddr)
-            } else {
-                0
-            };
             self.queue_writeback(Writeback::Mapping {
                 owner,
                 space,
                 vaddr,
                 paddr,
                 flags: pte.flags(),
-                payload,
             });
         }
 
@@ -324,7 +314,7 @@ impl CacheKernel {
         batch.add_thread(id.slot as u32);
         let t = self.threads.remove(id).ok_or(CkError::StaleId(id))?;
         self.overload
-            .note_unload(t.owner.slot, CkStats::idx_pub(ObjKind::Thread));
+            .note_unload(t.owner.slot, Counters::idx_pub(ObjKind::Thread));
         if t.locked {
             if let Some(k) = self.kernels.get_mut(t.owner) {
                 k.locked_threads = k.locked_threads.saturating_sub(1);
@@ -347,7 +337,7 @@ impl CacheKernel {
                 + mpm.config.cost.signal_fast,
         );
         let desc = self.do_unload_thread(id, mpm)?;
-        let class = CkStats::idx_pub(ObjKind::Thread);
+        let class = Counters::idx_pub(ObjKind::Thread);
         self.stats.writebacks[class] += 1;
         self.overload
             .note_displacement(owner.slot, class, self.stats.loads[class]);
@@ -368,7 +358,7 @@ impl CacheKernel {
         let spaces = &self.spaces;
         let kernels = &self.kernels;
         let overload = &self.overload;
-        let class = CkStats::idx_pub(ObjKind::Thread);
+        let class = Counters::idx_pub(ObjKind::Thread);
         let now = self.stats.loads[class];
         let mut protected = false;
         let victim = self.threads.victim(
@@ -474,7 +464,7 @@ impl CacheKernel {
         batch.flush_asid(CacheKernel::asid_of(id));
         if let Some(s) = self.spaces.remove(id) {
             self.overload
-                .note_unload(owner.slot, CkStats::idx_pub(ObjKind::AddrSpace));
+                .note_unload(owner.slot, Counters::idx_pub(ObjKind::AddrSpace));
             if s.locked {
                 if let Some(k) = self.kernels.get_mut(owner) {
                     k.locked_spaces = k.locked_spaces.saturating_sub(1);
@@ -497,7 +487,7 @@ impl CacheKernel {
             .ok_or(CkError::StaleId(id))?;
         mpm.clock.charge(mpm.config.cost.signal_fast);
         self.do_unload_space(id, mpm, true)?;
-        let class = CkStats::idx_pub(ObjKind::AddrSpace);
+        let class = Counters::idx_pub(ObjKind::AddrSpace);
         self.stats.writebacks[class] += 1;
         self.overload
             .note_displacement(owner.slot, class, self.stats.loads[class]);
@@ -515,7 +505,7 @@ impl CacheKernel {
         let threads = &self.threads;
         let kernels = &self.kernels;
         let overload = &self.overload;
-        let class = CkStats::idx_pub(ObjKind::AddrSpace);
+        let class = Counters::idx_pub(ObjKind::AddrSpace);
         let now = self.stats.loads[class];
         let mut protected = false;
         let victim = self.spaces.victim(
@@ -581,7 +571,7 @@ impl CacheKernel {
         self.accounts.remove(&id.slot);
         let k = self.kernels.remove(id).ok_or(CkError::StaleId(id))?;
         self.overload
-            .note_unload(k.owner.slot, CkStats::idx_pub(ObjKind::Kernel));
+            .note_unload(k.owner.slot, Counters::idx_pub(ObjKind::Kernel));
         // The unloaded kernel's reservation and thrash state die with it;
         // its pending-writeback count survives until the queue drains
         // (the sum-of-pending invariant tracks queued events, not loaded
@@ -606,7 +596,7 @@ impl CacheKernel {
                 + mpm.config.cost.signal_fast,
         );
         let desc = self.do_unload_kernel(id, mpm)?;
-        let class = CkStats::idx_pub(ObjKind::Kernel);
+        let class = Counters::idx_pub(ObjKind::Kernel);
         self.stats.writebacks[class] += 1;
         self.overload
             .note_displacement(owner.slot, class, self.stats.loads[class]);

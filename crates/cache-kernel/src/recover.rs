@@ -24,7 +24,7 @@
 //! [`recover_kernel`]: CacheKernel::recover_kernel
 
 use crate::ck::CacheKernel;
-use crate::counters::{CkStats, STAT_MAPPING};
+use crate::counters::{Counters, STAT_MAPPING};
 use crate::error::{CkError, CkResult};
 use crate::events::{KernelEvent, Writeback};
 use crate::ids::{ObjId, ObjKind};
@@ -151,10 +151,10 @@ impl CacheKernel {
         // The sweep is reclamation-driven displacement: tick the
         // writebacks arrays so `loaded = resident + unloaded + reclaimed`
         // balances across a crash.
-        self.stats.writebacks[CkStats::idx_pub(ObjKind::Thread)] += u64::from(report.threads);
-        self.stats.writebacks[CkStats::idx_pub(ObjKind::AddrSpace)] += u64::from(report.spaces);
+        self.stats.writebacks[Counters::idx_pub(ObjKind::Thread)] += u64::from(report.threads);
+        self.stats.writebacks[Counters::idx_pub(ObjKind::AddrSpace)] += u64::from(report.spaces);
         self.stats.writebacks[STAT_MAPPING] += u64::from(report.mappings);
-        self.stats.writebacks[CkStats::idx_pub(ObjKind::Kernel)] += 1;
+        self.stats.writebacks[Counters::idx_pub(ObjKind::Kernel)] += 1;
         let first = self.first_kernel();
         self.queue_writeback(Writeback::Kernel {
             owner: first,

@@ -756,7 +756,7 @@ mod tests {
             })
             .unwrap();
         }
-        ex.dispatch_writebacks();
+        ex.pump_events();
         let (wbs, saved_a) = ex
             .with_kernel::<Srm, _>(srm_id, |s, _| {
                 (s.stats.kernel_writebacks, s.saved_kernel("a").is_some())

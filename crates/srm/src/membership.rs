@@ -2,7 +2,7 @@
 //!
 //! Each SRM instance runs a copy of this detector. Liveness evidence is
 //! the peer load advertisements that already flow every few ticks over
-//! the reliable link; a peer silent for `suspicion_ticks` delivered
+//! the reliable link; a peer silent for [`SUSPICION_TICKS`] delivered
 //! ticks is suspected dead (the same delivered-tick discipline the PR 3
 //! single-node failure detector uses — a slow node that still answers
 //! ticks is never reaped).
@@ -40,22 +40,6 @@ pub struct Membership {
     /// Current membership epoch. Starts at 1 on join; only a majority
     /// side ever bumps it, minority sides adopt higher epochs heard.
     pub epoch: u64,
-    /// Delivered ticks of silence before a peer is suspected dead.
-    /// Advertisements go out every 4 ticks; the default of 12 tolerates
-    /// two lost ads and one retransmission round.
-    pub suspicion_ticks: u64,
-    /// Delivered ticks of silence before a peer is suspected *slow* —
-    /// the reversible advisory level below suspect-dead: load steers
-    /// away, no epoch is minted, and the next advertisement clears it.
-    /// The default of 8 sits safely above the 4-tick ad cadence so a
-    /// healthy cluster never trips it.
-    pub slow_ticks: u64,
-    /// Adapt both suspicion thresholds to each peer's observed inter-ad
-    /// gap EWMA: slow fires at `max(slow_ticks, 2×gap)`, dead at
-    /// `max(suspicion_ticks, 3×gap)`. The fixed knobs are floors, so a
-    /// healthy peer (gap ≈ ad cadence) is detected in exactly the same
-    /// tick budget as before — only *observed* slowness raises the bar.
-    pub adaptive: bool,
     /// Whether this node degraded to standalone scheduling (minority
     /// side of a partition): peer table frozen, placement local.
     pub degraded: bool,
@@ -70,6 +54,17 @@ pub struct Membership {
     events: Vec<ClusterEvent>,
 }
 
+/// Delivered ticks of silence before a peer is suspected dead.
+/// Advertisements go out every 4 ticks; 12 tolerates two lost ads and
+/// one retransmission round.
+pub const SUSPICION_TICKS: u64 = 12;
+
+/// Delivered ticks of silence before a peer is suspected *slow* — the
+/// reversible advisory level below suspect-dead: load steers away, no
+/// epoch is minted, and the next advertisement clears it. 8 sits safely
+/// above the 4-tick ad cadence so a healthy cluster never trips it.
+pub const SLOW_TICKS: u64 = 8;
+
 /// Fixed-point scale of the per-peer gap EWMA.
 const EWMA_SCALE: u64 = 8;
 
@@ -80,9 +75,6 @@ impl Membership {
     pub fn new() -> Self {
         Membership {
             epoch: 1,
-            suspicion_ticks: 12,
-            slow_ticks: 8,
-            adaptive: true,
             ..Membership::default()
         }
     }
@@ -222,19 +214,13 @@ impl Membership {
                 continue;
             }
             let silence = self.ticks.saturating_sub(self.last_heard[peer]);
-            // Adaptive thresholds scale with the peer's observed inter-ad
-            // gap, floored at the fixed knobs: a healthy peer keeps the
-            // legacy dead budget exactly, while a peer *observed* slow
-            // earns headroom before either level fires.
+            // Both thresholds scale with the peer's observed inter-ad gap
+            // EWMA, floored at the constants: a healthy peer (gap ≈ ad
+            // cadence) keeps the legacy dead budget exactly, while a peer
+            // *observed* slow earns headroom before either level fires.
             let gap = self.gap_ewma[peer] / EWMA_SCALE;
-            let (slow_at, dead_at) = if self.adaptive {
-                (
-                    self.slow_ticks.max(2 * gap),
-                    self.suspicion_ticks.max(3 * gap),
-                )
-            } else {
-                (self.slow_ticks, self.suspicion_ticks)
-            };
+            let slow_at = SLOW_TICKS.max(2 * gap);
+            let dead_at = SUSPICION_TICKS.max(3 * gap);
             if silence > dead_at {
                 suspects.push(peer);
             } else if silence > slow_at && !self.slow[peer] {
@@ -494,7 +480,7 @@ mod tests {
     fn adaptive_threshold_tolerates_observed_slow_cadence() {
         // A steady 10-tick cadence teaches the EWMA; afterwards 15
         // silent ticks stay under 2× the observed gap — neither level
-        // fires where the fixed detector would have declared death.
+        // fires, though 15 is past the fixed `SUSPICION_TICKS` floor.
         let mut m = Membership::new();
         m.join(0, 2);
         for _ in 0..5 {
@@ -506,21 +492,6 @@ mod tests {
         ticks(&mut m, 15);
         assert!(m.alive(1) && !m.slow(1));
         assert!(m.take_events().is_empty());
-
-        // The same schedule with adaptivity off false-kills the peer.
-        let mut f = Membership::new();
-        f.join(0, 2);
-        f.adaptive = false;
-        for _ in 0..5 {
-            ticks(&mut f, 10);
-            f.heard(1, 1);
-        }
-        f.take_events();
-        ticks(&mut f, 15);
-        assert!(
-            !f.alive(1),
-            "fixed thresholds false-kill a steady straggler"
-        );
     }
 
     #[test]
@@ -554,9 +525,8 @@ mod tests {
     fn suspicion_uses_delivered_ticks_not_wall_time() {
         let mut m = Membership::new();
         m.join(0, 2);
-        m.suspicion_ticks = 5;
         // Exactly at the threshold: not yet suspected.
-        ticks(&mut m, 5);
+        ticks(&mut m, SUSPICION_TICKS);
         assert!(m.alive(1));
         m.on_tick();
         assert!(!m.alive(1));

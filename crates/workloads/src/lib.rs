@@ -147,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn zipf_theta_zero_is_roughly_uniform() {
+    fn zipf_zero_theta_is_roughly_uniform() {
         let z = Zipf::new(10, 0.0);
         let mut r = rng(9);
         let s = z.stream(&mut r, 10_000);

@@ -13,7 +13,7 @@
 //!   O(requests) at 10^6 clients) or closed-loop (per-client think
 //!   times in a heap, for the small grid points where per-client state
 //!   is affordable).
-//! * **Keys** are Zipf-distributed over a shared key space, striped
+//! * **Keys** are Zipf(0.99)-distributed over a shared key space, striped
 //!   across nodes by `key % nodes`. Local keys are served from a
 //!   second-chance front cache of `cache_pages` pages (the cache-size
 //!   sweep axis) — a hit charges one memory access, a miss charges
@@ -62,6 +62,9 @@ pub const WEB_CHANNEL: u32 = 0xffff_0004;
 /// Fixed-point scale for the per-peer reply-time EWMA.
 const SRTT_SCALE: u64 = 8;
 
+/// Zipf skew over the key space (web skew).
+const ZIPF_THETA: f64 = 0.99;
+
 /// Latency histogram buckets (log2 of cycles, saturating).
 pub const LAT_BUCKETS: usize = 40;
 
@@ -95,8 +98,6 @@ pub struct WebServingConfig {
     pub clients: u64,
     /// Shared key space size (keys striped `key % cluster_nodes`).
     pub keys: u32,
-    /// Zipf skew over the key space (0 = uniform, ~1 = web skew).
-    pub zipf_theta: f64,
     /// Arrival process.
     pub arrival: Arrival,
     /// Churn wave period in cycles (0 = no churn).
@@ -144,7 +145,6 @@ impl Default for WebServingConfig {
             cluster_nodes: 1,
             clients: 1_000,
             keys: 4_096,
-            zipf_theta: 0.99,
             arrival: Arrival::Open { per_mcycle: 1.0 },
             churn_period: 0,
             churn_permille: 0,
@@ -160,54 +160,6 @@ impl Default for WebServingConfig {
             gen_window: 5_000,
             seed: 1,
         }
-    }
-}
-
-/// Storage tier behind the front cache: a miss charges
-/// `fetch(page)` cycles on top of the memory access. Pluggable so the
-/// flat synthetic fetch can be swapped for the database kernel's page
-/// I/O cost — an *endogenous* straggler whose slowness comes from the
-/// workload itself rather than an injected fault.
-pub trait FetchTier: Send {
-    /// Cycles one storage-tier fetch of `page` costs.
-    fn fetch(&mut self, page: u32) -> u64;
-    /// Tier name for reports.
-    fn name(&self) -> &str;
-}
-
-/// Flat fetch cost — the default tier; behaves byte-identically to the
-/// pre-hook `miss_fetch` charge.
-pub struct FlatTier(pub u64);
-
-impl FetchTier for FlatTier {
-    fn fetch(&mut self, _page: u32) -> u64 {
-        self.0
-    }
-    fn name(&self) -> &str {
-        "flat"
-    }
-}
-
-/// Database-backed fetch: every miss pays the same 250k-cycle page I/O
-/// the DB kernel charges (`hw::clock` cost table), so a node serving
-/// cold keys becomes a straggler without any injected fault.
-pub struct PageIoTier {
-    /// Cycles per page I/O (the DB kernel's `page_io` cost).
-    pub page_io: u64,
-}
-
-impl Default for PageIoTier {
-    fn default() -> Self {
-        PageIoTier { page_io: 250_000 }
-    }
-}
-
-impl FetchTier for PageIoTier {
-    fn fetch(&mut self, _page: u32) -> u64 {
-        self.page_io
-    }
-    fn name(&self) -> &str {
-        "page-io"
     }
 }
 
@@ -347,8 +299,6 @@ pub struct WebFrontKernel {
     me: ObjId,
     /// Front page cache for this node's serving (hit-rate axis).
     cache: FrontCache,
-    /// Storage tier charged on front-cache misses.
-    tier: Box<dyn FetchTier>,
     /// Membership mirror from cluster events.
     alive: Vec<bool>,
     /// Suspect-slow advisory mirror (below suspect-dead; reversible).
@@ -418,12 +368,11 @@ impl WebFrontKernel {
         WebFrontKernel {
             me: ObjId::new(cache_kernel::ObjKind::Kernel, 0, 0),
             cache: FrontCache::new(cfg.cache_pages),
-            tier: Box::new(FlatTier(cfg.miss_fetch)),
             alive: vec![true; cfg.cluster_nodes.max(1)],
             slow: vec![false; cfg.cluster_nodes.max(1)],
             srtt: vec![0; cfg.cluster_nodes.max(1)],
             probe: 0,
-            zipf: crate::Zipf::new(cfg.keys.max(1), cfg.zipf_theta),
+            zipf: crate::Zipf::new(cfg.keys.max(1), ZIPF_THETA),
             keys_rng: seed ^ 0xb002,
             arrivals_rng,
             jitter_rng: seed ^ 0xc003,
@@ -556,16 +505,9 @@ impl WebFrontKernel {
             env.mpm.clock.charge(cost);
         } else {
             self.stats.local_misses += 1;
-            let fetch = self.tier.fetch(page);
-            env.mpm.clock.charge(cost + fetch);
+            env.mpm.clock.charge(cost + self.cfg.miss_fetch);
         }
         hit
-    }
-
-    /// Swap the storage tier behind the front cache (the default
-    /// [`FlatTier`] charges exactly `cfg.miss_fetch`).
-    pub fn set_fetch_tier(&mut self, tier: Box<dyn FetchTier>) {
-        self.tier = tier;
     }
 
     /// Smoothed reply time to `node` in cycles (0 = no sample yet).
@@ -1312,16 +1254,6 @@ mod tests {
             !adv.steer_worthy(2),
             "hedge_after 0 leaves only the advisory"
         );
-    }
-
-    #[test]
-    fn fetch_tiers_report_their_costs() {
-        let mut flat = FlatTier(1_500);
-        assert_eq!(flat.fetch(7), 1_500);
-        assert_eq!(flat.name(), "flat");
-        let mut db = PageIoTier::default();
-        assert_eq!(db.fetch(7), 250_000, "matches the DB kernel page_io cost");
-        assert_eq!(db.name(), "page-io");
     }
 
     #[test]

@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== cargo doc (broken intra-doc links are errors) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+
 echo "== perfbench gate tests (a workspace of its own) =="
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 

@@ -398,7 +398,6 @@ impl AppKernel for Saboteur {
                                 vaddr: Vaddr(0x1000),
                                 paddr: self.bystander_page,
                                 flags: 0,
-                                payload: 0,
                             },
                         )
                         .unwrap_err();

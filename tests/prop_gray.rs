@@ -182,7 +182,7 @@ fn pure_delay_schedule_never_mints_an_epoch() {
 
 /// The other side of the ladder: adaptive thresholds must not slow
 /// down real death. A node that goes silent is detected and its epoch
-/// minted within the legacy budget — `suspicion_ticks` of silence plus
+/// minted within the legacy budget — `SUSPICION_TICKS` of silence plus
 /// slack for the ad cadence, nowhere near the end of the run.
 #[test]
 fn dead_node_is_still_detected_within_the_legacy_budget() {

@@ -160,7 +160,7 @@ fn partition_run(seed: u64, n: usize, faulted: bool, delayed: bool) -> Vec<NodeD
         cluster.net_faults = Some(plan);
     }
 
-    // Through the cut: detection needs `suspicion_ticks` of silence, so
+    // Through the cut: detection needs `SUSPICION_TICKS` of silence, so
     // snapshot after it has settled and again late in the window.
     run_until(&mut cluster, 500_000);
     let p1 = progress_snapshot(&mut cluster, &dsm_ids);
