@@ -34,12 +34,12 @@ impl Executive {
     }
 
     /// Packets addressed to this very node are delivered locally at the
-    /// end of a quantum; the rest wait for the cluster loop.
+    /// end of a quantum, in send order; the rest wait for the cluster
+    /// loop. The local ones are extracted in place, so the outbox keeps
+    /// its buffer, and a quantum with none allocates nothing.
     pub(crate) fn loopback_outbox(&mut self) {
         let node = self.mpm.node();
-        let (local, remote): (Vec<Packet>, Vec<Packet>) =
-            self.outbox.drain(..).partition(|p| p.dst == node);
-        self.outbox = remote;
+        let local: Vec<Packet> = self.outbox.extract_if(.., |p| p.dst == node).collect();
         for pkt in local {
             self.deliver_packet(pkt);
         }

@@ -107,14 +107,16 @@ impl Executive {
                     // a crashed (unregistered) kernel stops being stamped
                     // and its last-seen cycle goes stale.
                     let now = self.mpm.clock.cycles();
-                    for ks in self.kernels.slots() {
+                    let slots = self.kernel_slots();
+                    for &ks in &slots {
                         self.ck.note_heartbeat(ks, now);
                         self.call_kernel(ks, 0, |k, env| k.on_tick(env));
                     }
+                    self.slot_scratch = slots;
                 }
             }
             KernelEvent::PacketArrived { src, channel, data } => {
-                if let Some(ks) = self.channel_owners.get(&channel).copied() {
+                if let Some(ks) = self.channel_owner(channel) {
                     self.call_kernel(ks, 0, |k, env| k.on_packet(env, src, channel, &data));
                 }
             }
@@ -165,9 +167,11 @@ impl Executive {
                 // kernel in deterministic slot order, mirroring the clock
                 // tick: a DSM kernel re-homes a dead owner's lines, the
                 // SRM freezes or thaws its placement.
-                for ks in self.kernels.slots() {
+                let slots = self.kernel_slots();
+                for &ks in &slots {
                     self.call_kernel(ks, 0, |k, env| k.on_cluster_event(env, cev));
                 }
+                self.slot_scratch = slots;
             }
         }
     }
@@ -289,6 +293,26 @@ impl Executive {
             }
         }
         self.last_trap_disp = Some(disp);
+    }
+
+    /// Snapshot of the registered slots, in ascending order, taken out
+    /// of the executive's scratch buffer; hand it back to
+    /// `slot_scratch` after the broadcast. The snapshot is what a
+    /// broadcast visits even if a callee registers or crashes a kernel
+    /// mid-way; a nested broadcast finds the buffer taken and grows a
+    /// fresh one.
+    fn kernel_slots(&mut self) -> Vec<u16> {
+        let mut slots = std::mem::take(&mut self.slot_scratch);
+        self.kernels.slots_into(&mut slots);
+        slots
+    }
+
+    /// The kernel slot that owns `channel`, if any.
+    fn channel_owner(&self, channel: u32) -> Option<u16> {
+        self.channel_owners
+            .iter()
+            .find(|&&(c, _)| c == channel)
+            .map(|&(_, ks)| ks)
     }
 
     pub(crate) fn close_accounting_period(&mut self) {

@@ -62,8 +62,12 @@ pub struct Executive {
     /// Registered application kernels (delivery order is slot order).
     pub(crate) kernels: AppKernelTable,
     /// Network channel → owning kernel slot (stand-in for the SRM channel
-    /// manager's registry).
-    pub channel_owners: HashMap<u32, u16>,
+    /// manager's registry). A node owns a handful of channels, so a
+    /// linear scan beats hashing; [`register_channel`] is the only
+    /// writer and keeps each channel at most once.
+    ///
+    /// [`register_channel`]: Executive::register_channel
+    pub(crate) channel_owners: Vec<(u32, u16)>,
     /// Packets awaiting the fabric.
     pub outbox: Vec<Packet>,
     /// Optional Ethernet driver (the DMA-to-messaging adaptation).
@@ -102,6 +106,8 @@ pub struct Executive {
     /// Writeback shipments archived on this shard (the home shard keeps
     /// displaced descriptors the way the SRM keeps restart state).
     pub wb_archive: Vec<crate::shardmsg::WbShipment>,
+    /// Reused buffer for the slot snapshot a broadcast delivery walks.
+    pub(crate) slot_scratch: Vec<u16>,
     /// Last steal victim (rotates).
     pub(crate) steal_victim: usize,
     /// A steal request is outstanding; don't send another.
@@ -120,7 +126,7 @@ impl Executive {
             mpm,
             code: CodeStore::new(),
             kernels: AppKernelTable::new(),
-            channel_owners: HashMap::new(),
+            channel_owners: Vec::new(),
             outbox: Vec::new(),
             ether_driver: None,
             ether_channels: std::collections::HashSet::new(),
@@ -135,6 +141,7 @@ impl Executive {
             job_target: None,
             job_admit: 4,
             wb_archive: Vec::new(),
+            slot_scratch: Vec::new(),
             steal_victim: 0,
             steal_outstanding: false,
             steal_empty_rounds: 0,
@@ -170,7 +177,10 @@ impl Executive {
 
     /// Route `channel` to `kernel` for incoming packets.
     pub fn register_channel(&mut self, channel: u32, kernel: ObjId) {
-        self.channel_owners.insert(channel, kernel.slot);
+        match self.channel_owners.iter_mut().find(|(c, _)| *c == channel) {
+            Some(entry) => entry.1 = kernel.slot,
+            None => self.channel_owners.push((channel, kernel.slot)),
+        }
     }
 
     /// Invoke a registered kernel with an [`Env`] (take-out/put-back so

@@ -27,25 +27,58 @@
 use crate::objects::{Priority, PRIORITY_LEVELS};
 use std::collections::VecDeque;
 
-/// One CPU's ready queues: one FIFO per priority level over thread slots.
+/// One CPU's ready queues: one FIFO per priority level over thread slots,
+/// plus a bitmap of the non-empty levels so the highest one is a
+/// leading-zeros count instead of a 32-level scan.
 struct CpuQueues {
     levels: [VecDeque<u16>; PRIORITY_LEVELS],
+    /// Bit `p` is set iff `levels[p]` is non-empty.
+    nonempty: u32,
 }
 
 impl CpuQueues {
     fn new() -> Self {
         CpuQueues {
             levels: core::array::from_fn(|_| VecDeque::new()),
+            nonempty: 0,
         }
     }
 
-    /// Highest non-empty priority level, if any.
-    fn top(&self) -> Option<Priority> {
-        (0..PRIORITY_LEVELS)
-            .rev()
-            .find(|&p| !self.levels[p].is_empty())
-            .map(|p| p as Priority)
+    fn push(&mut self, slot: u16, p: usize) {
+        self.levels[p].push_back(slot);
+        self.nonempty |= 1 << p;
     }
+
+    fn pop(&mut self, p: usize) -> Option<u16> {
+        let slot = self.levels[p].pop_front()?;
+        if self.levels[p].is_empty() {
+            self.nonempty &= !(1 << p);
+        }
+        Some(slot)
+    }
+
+    /// Remove `slot` from whichever level holds it.
+    fn remove(&mut self, slot: u16) -> bool {
+        let mut bits = self.nonempty;
+        while bits != 0 {
+            let p = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let level = &mut self.levels[p];
+            if let Some(pos) = level.iter().position(|&s| s == slot) {
+                level.remove(pos);
+                if level.is_empty() {
+                    self.nonempty &= !(1 << p);
+                }
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Highest set bit of a level bitmap, as a priority.
+fn top_of(bits: u32) -> Option<Priority> {
+    (bits != 0).then(|| (31 - bits.leading_zeros()) as Priority)
 }
 
 /// Result of a dispatch decision: which thread, at what priority, and
@@ -62,6 +95,8 @@ pub struct Pick {
 /// Per-CPU ready queues with fixed-order idle-steal.
 pub struct Scheduler {
     cpus: Vec<CpuQueues>,
+    /// Threads queued across all CPUs.
+    ready: usize,
     /// Time-slice length in program steps.
     pub slice: u32,
     /// Total threads dispatched via idle-steal (monotonic, for reporting).
@@ -75,6 +110,7 @@ impl Scheduler {
         assert!(slice > 0, "time slice must be at least one step");
         Scheduler {
             cpus: vec![CpuQueues::new()],
+            ready: 0,
             slice,
             steals: 0,
         }
@@ -98,12 +134,13 @@ impl Scheduler {
         let mut queued: Vec<(u16, Priority)> = Vec::new();
         for cq in &mut self.cpus {
             for p in (0..PRIORITY_LEVELS).rev() {
-                while let Some(slot) = cq.levels[p].pop_front() {
+                while let Some(slot) = cq.pop(p) {
                     queued.push((slot, p as Priority));
                 }
             }
         }
         self.cpus = (0..n).map(|_| CpuQueues::new()).collect();
+        self.ready = 0;
         for (slot, priority) in queued {
             self.enqueue(slot, priority);
         }
@@ -119,7 +156,8 @@ impl Scheduler {
     pub fn enqueue(&mut self, slot: u16, priority: Priority) {
         debug_assert!(!self.contains(slot), "slot double-enqueued");
         let home = self.home_of(slot);
-        self.cpus[home].levels[priority as usize].push_back(slot);
+        self.cpus[home].push(slot, priority as usize);
+        self.ready += 1;
     }
 
     /// Dispatch decision for `cpu`: the highest-priority ready thread,
@@ -133,24 +171,30 @@ impl Scheduler {
             debug_assert!(false, "pick from unconfigured CPU {cpu} (of {n})");
             return None;
         }
-        for p in (0..PRIORITY_LEVELS).rev() {
-            if let Some(slot) = self.cpus[cpu].levels[p].pop_front() {
+        if self.ready == 0 {
+            return None;
+        }
+        // The global top level decides; within it the picking CPU's own
+        // queue wins, then the victims in wrap-around order.
+        let p = self.top_priority()? as usize;
+        if let Some(slot) = self.cpus[cpu].pop(p) {
+            self.ready -= 1;
+            return Some(Pick {
+                slot,
+                priority: p as Priority,
+                stolen_from: None,
+            });
+        }
+        for step in 1..n {
+            let victim = (cpu + step) % n;
+            if let Some(slot) = self.cpus[victim].pop(p) {
+                self.ready -= 1;
+                self.steals += 1;
                 return Some(Pick {
                     slot,
                     priority: p as Priority,
-                    stolen_from: None,
+                    stolen_from: Some(victim),
                 });
-            }
-            for step in 1..n {
-                let victim = (cpu + step) % n;
-                if let Some(slot) = self.cpus[victim].levels[p].pop_front() {
-                    self.steals += 1;
-                    return Some(Pick {
-                        slot,
-                        priority: p as Priority,
-                        stolen_from: Some(victim),
-                    });
-                }
             }
         }
         None
@@ -159,21 +203,19 @@ impl Scheduler {
     /// Highest priority currently ready on any CPU, if any (for
     /// preemption checks).
     pub fn top_priority(&self) -> Option<Priority> {
-        self.cpus.iter().filter_map(|cq| cq.top()).max()
+        top_of(self.cpus.iter().fold(0, |bits, cq| bits | cq.nonempty))
     }
 
     /// Remove a specific slot from wherever it is queued (thread unloaded
     /// or blocked). Returns whether it was queued.
     pub fn remove(&mut self, slot: u16) -> bool {
-        for cq in &mut self.cpus {
-            for level in &mut cq.levels {
-                if let Some(pos) = level.iter().position(|&s| s == slot) {
-                    level.remove(pos);
-                    return true;
-                }
-            }
+        // `enqueue` and `set_cpus` only ever queue a slot on its home CPU.
+        let home = self.home_of(slot);
+        let found = self.cpus[home].remove(slot);
+        if found {
+            self.ready -= 1;
         }
-        false
+        found
     }
 
     /// Move a queued slot to a new priority (the `set_priority`
@@ -194,10 +236,7 @@ impl Scheduler {
 
     /// Total ready threads across all CPUs.
     pub fn ready_count(&self) -> usize {
-        self.cpus
-            .iter()
-            .map(|cq| cq.levels.iter().map(|l| l.len()).sum::<usize>())
-            .sum()
+        self.ready
     }
 }
 
@@ -354,5 +393,140 @@ mod tests {
         // Slot 1 now homes on CPU 1 and is picked locally there.
         let p = s.pick(1).unwrap();
         assert_eq!((p.slot, p.stolen_from), (1, None));
+    }
+
+    /// The scan scheduler the bitmap one replaced: per-CPU arrays of
+    /// per-priority FIFOs, every query a full walk of the levels.
+    struct ScanModel {
+        cpus: Vec<Vec<VecDeque<u16>>>,
+    }
+
+    impl ScanModel {
+        fn new() -> Self {
+            ScanModel {
+                cpus: vec![vec![VecDeque::new(); PRIORITY_LEVELS]],
+            }
+        }
+
+        fn set_cpus(&mut self, n: usize) {
+            if n == self.cpus.len() {
+                return;
+            }
+            let mut queued = Vec::new();
+            for cq in &mut self.cpus {
+                for p in (0..PRIORITY_LEVELS).rev() {
+                    queued.extend(cq[p].drain(..).map(|slot| (slot, p)));
+                }
+            }
+            self.cpus = vec![vec![VecDeque::new(); PRIORITY_LEVELS]; n];
+            for (slot, p) in queued {
+                self.enqueue(slot, p);
+            }
+        }
+
+        fn enqueue(&mut self, slot: u16, p: usize) {
+            let n = self.cpus.len();
+            self.cpus[slot as usize % n][p].push_back(slot);
+        }
+
+        fn pick(&mut self, cpu: usize) -> Option<Pick> {
+            let n = self.cpus.len();
+            for p in (0..PRIORITY_LEVELS).rev() {
+                for step in 0..n {
+                    let victim = (cpu + step) % n;
+                    if let Some(slot) = self.cpus[victim][p].pop_front() {
+                        return Some(Pick {
+                            slot,
+                            priority: p as Priority,
+                            stolen_from: (step > 0).then_some(victim),
+                        });
+                    }
+                }
+            }
+            None
+        }
+
+        fn remove(&mut self, slot: u16) -> bool {
+            for level in self.cpus.iter_mut().flatten() {
+                if let Some(pos) = level.iter().position(|&s| s == slot) {
+                    level.remove(pos);
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn top_priority(&self) -> Option<Priority> {
+            (0..PRIORITY_LEVELS)
+                .rev()
+                .find(|&p| self.cpus.iter().any(|cq| !cq[p].is_empty()))
+                .map(|p| p as Priority)
+        }
+
+        fn ready_count(&self) -> usize {
+            self.cpus.iter().flatten().map(VecDeque::len).sum()
+        }
+    }
+
+    #[test]
+    fn bitmap_scheduler_matches_the_scan_model() {
+        const SLOTS: u64 = 48;
+        for seed in 0..64u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed;
+            let mut s = Scheduler::new(10);
+            let mut m = ScanModel::new();
+            let mut queued = vec![false; SLOTS as usize];
+            for step in 0..2_000 {
+                let r = hw::splitmix64(&mut rng);
+                let slot = (r >> 8) % SLOTS;
+                // Priorities cluster on a few levels (so FIFO order and
+                // steals are exercised) with the extremes mixed in.
+                let p = match (r >> 16) % 8 {
+                    0 => 0,
+                    1 => PRIORITY_LEVELS - 1,
+                    k => (k as usize * 3) % PRIORITY_LEVELS,
+                };
+                let cpus = s.num_cpus();
+                match r % 16 {
+                    0..=5 => {
+                        if !queued[slot as usize] {
+                            queued[slot as usize] = true;
+                            s.enqueue(slot as u16, p as Priority);
+                            m.enqueue(slot as u16, p);
+                        }
+                    }
+                    6..=10 => {
+                        let cpu = (r >> 24) as usize % cpus;
+                        let got = s.pick(cpu);
+                        assert_eq!(got, m.pick(cpu), "seed {seed} step {step}: pick({cpu})");
+                        if let Some(pk) = got {
+                            queued[pk.slot as usize] = false;
+                        }
+                    }
+                    11 | 12 => {
+                        let got = s.remove(slot as u16);
+                        assert_eq!(got, m.remove(slot as u16), "seed {seed} step {step}");
+                        queued[slot as usize] = false;
+                    }
+                    13 | 14 => {
+                        s.requeue(slot as u16, p as Priority);
+                        if m.remove(slot as u16) {
+                            m.enqueue(slot as u16, p);
+                        }
+                    }
+                    _ => {
+                        let n = 1 + (r >> 32) as usize % 4;
+                        s.set_cpus(n);
+                        m.set_cpus(n);
+                    }
+                }
+                assert_eq!(
+                    s.top_priority(),
+                    m.top_priority(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(s.ready_count(), m.ready_count(), "seed {seed} step {step}");
+            }
+        }
     }
 }

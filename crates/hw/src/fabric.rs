@@ -151,12 +151,11 @@ impl Fabric {
         if now > self.now {
             self.now = now;
         }
-        if self.future.is_empty() {
-            return;
-        }
-        let later = self.future.split_off(&(self.now + 1, 0));
-        let due = std::mem::replace(&mut self.future, later);
-        for (_, pkt) in due {
+        while let Some(e) = self.future.first_entry() {
+            if e.key().0 > self.now {
+                break;
+            }
+            let pkt = e.remove();
             self.queues[pkt.dst].push_back(pkt);
         }
     }

@@ -54,7 +54,7 @@
 use cache_kernel::{AppKernel, ClusterEvent, Env, FaultDisposition, ObjId, TrapDisposition};
 use hw::{splitmix64, Fault, Packet};
 use libkern::{Backoff, Deadline, RetryBudget};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Fabric channel for front-kernel request forwarding.
 pub const WEB_CHANNEL: u32 = 0xffff_0004;
@@ -248,34 +248,48 @@ fn exp_interval(state: &mut u64, mean: f64) -> u64 {
 /// Second-chance (CLOCK) page cache for the serving front: bounded,
 /// deterministic, O(1) amortized. A hit sets the reference bit; a miss
 /// evicts from the hand, skipping referenced pages once.
+///
+/// Pages are the key space's keys, so the page → slot index is a flat
+/// table with one entry per key, sized once at construction. Nothing
+/// grows it: a page outside the key space (a key decoded from a peer's
+/// frame is untrusted) is refused, not indexed.
 struct FrontCache {
     cap: usize,
     /// (page, referenced) in slot order.
     slots: Vec<(u32, bool)>,
-    index: BTreeMap<u32, usize>,
+    /// Slot holding each page, [`FrontCache::ABSENT`] if not resident.
+    index: Vec<u32>,
     hand: usize,
 }
 
 impl FrontCache {
-    fn new(cap: usize) -> Self {
+    const ABSENT: u32 = u32::MAX;
+
+    /// A cache of `cap` pages over the pages `0..pages`.
+    fn new(cap: usize, pages: u32) -> Self {
         FrontCache {
-            cap: cap.max(1),
+            // Never more slots than distinct pages, so a slot number
+            // always fits the index below `ABSENT`.
+            cap: cap.clamp(1, pages.max(1) as usize),
             slots: Vec::new(),
-            index: BTreeMap::new(),
+            index: vec![Self::ABSENT; pages.max(1) as usize],
             hand: 0,
         }
     }
 
-    /// Touch `page`: true on hit; on miss the page is resident after.
-    fn touch(&mut self, page: u32) -> bool {
-        if let Some(&slot) = self.index.get(&page) {
-            self.slots[slot].1 = true;
-            return true;
+    /// Touch `page`: `Some(true)` on hit; on a miss (`Some(false)`) the
+    /// page is resident after. `None` for a page outside the key space,
+    /// which leaves the cache as it was.
+    fn touch(&mut self, page: u32) -> Option<bool> {
+        let at = *self.index.get(page as usize)?;
+        if at != Self::ABSENT {
+            self.slots[at as usize].1 = true;
+            return Some(true);
         }
         if self.slots.len() < self.cap {
-            self.index.insert(page, self.slots.len());
+            self.index[page as usize] = self.slots.len() as u32;
             self.slots.push((page, false));
-            return false;
+            return Some(false);
         }
         loop {
             let (victim, referenced) = self.slots[self.hand];
@@ -284,11 +298,11 @@ impl FrontCache {
                 self.hand = (self.hand + 1) % self.cap;
                 continue;
             }
-            self.index.remove(&victim);
-            self.index.insert(page, self.hand);
+            self.index[victim as usize] = Self::ABSENT;
+            self.index[page as usize] = self.hand as u32;
             self.slots[self.hand] = (page, false);
             self.hand = (self.hand + 1) % self.cap;
-            return false;
+            return Some(false);
         }
     }
 }
@@ -329,8 +343,10 @@ pub struct WebFrontKernel {
     waves_done: u64,
     /// Closed-loop wakeups to discard (clients a down-wave hung up).
     to_drop: u64,
-    /// Outstanding requests by id.
-    inflight: BTreeMap<u64, Req>,
+    /// Outstanding requests in ascending id order. Ids are minted
+    /// monotonically, so an insert is a push at the back and a lookup
+    /// a binary search.
+    inflight: VecDeque<(u64, Req)>,
     /// Shed/expired requests waiting out their backoff: keyed by
     /// (due cycle, id) so the tick scan pops them in order.
     parked: BTreeMap<(u64, u64), Req>,
@@ -367,7 +383,7 @@ impl WebFrontKernel {
         }
         WebFrontKernel {
             me: ObjId::new(cache_kernel::ObjKind::Kernel, 0, 0),
-            cache: FrontCache::new(cfg.cache_pages),
+            cache: FrontCache::new(cfg.cache_pages, cfg.keys),
             alive: vec![true; cfg.cluster_nodes.max(1)],
             slow: vec![false; cfg.cluster_nodes.max(1)],
             srtt: vec![0; cfg.cluster_nodes.max(1)],
@@ -382,7 +398,7 @@ impl WebFrontKernel {
             thinkers,
             waves_done: 0,
             to_drop: 0,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             parked: BTreeMap::new(),
             next_id: 0,
             budget: cfg.budget,
@@ -496,9 +512,10 @@ impl WebFrontKernel {
     }
 
     /// Serve `key` from the front cache, charging the memory access on
-    /// a hit or the storage-tier fetch on a miss. Returns the hit bit.
-    fn serve_page(&mut self, env: &mut Env, page: u32) -> bool {
-        let hit = self.cache.touch(page);
+    /// a hit or the storage-tier fetch on a miss. Returns the hit bit,
+    /// or `None` (nothing charged) for a page outside the key space.
+    fn serve_page(&mut self, env: &mut Env, page: u32) -> Option<bool> {
+        let hit = self.cache.touch(page)?;
         let cost = env.mpm.config.cost.l2_miss;
         if hit {
             self.stats.local_hits += 1;
@@ -507,7 +524,25 @@ impl WebFrontKernel {
             self.stats.local_misses += 1;
             env.mpm.clock.charge(cost + self.cfg.miss_fetch);
         }
-        hit
+        Some(hit)
+    }
+
+    /// Serve a peer's request for `key` and reply to `src`. A key
+    /// outside the key space is counted as a rejected frame and dropped
+    /// without a reply.
+    fn serve_peer(&mut self, env: &mut Env, src: usize, id: u64, key: u32) {
+        let page = self.page_of(key);
+        let Some(hit) = self.serve_page(env, page) else {
+            env.ck.stats.frames_rejected += 1;
+            return;
+        };
+        self.stats.served_remote += 1;
+        env.outbox.push(Packet {
+            src: self.cfg.node,
+            dst: src,
+            channel: WEB_CHANNEL,
+            data: encode_reply(id, hit),
+        });
     }
 
     /// Smoothed reply time to `node` in cycles (0 = no sample yet).
@@ -584,6 +619,8 @@ impl WebFrontKernel {
     /// always succeeds (the cache admits every page), it only varies in
     /// charged cost.
     fn serve_local(&mut self, env: &mut Env, now: u64, req: Req) {
+        // Generated keys always lie in the key space, so the serve never
+        // refuses here.
         let page = self.page_of(req.key);
         self.serve_page(env, page);
         // Latency includes the serve cost just charged.
@@ -643,7 +680,8 @@ impl WebFrontKernel {
         req.hedged = 0;
         let id = self.next_id;
         self.next_id += 1;
-        self.inflight.insert(id, req);
+        debug_assert!(self.inflight.back().is_none_or(|&(last, _)| last < id));
+        self.inflight.push_back((id, req));
         let data = if dst == owner {
             encode_request(id, req.key)
         } else {
@@ -760,26 +798,26 @@ impl WebFrontKernel {
         }
     }
 
-    /// Expire overdue requests, fire due hedges, re-admit parked
-    /// retries.
+    /// Expire overdue requests (in ascending id order), fire due
+    /// hedges, re-admit parked retries.
     fn pump_timers(&mut self, env: &mut Env, now: u64) {
         if self.cfg.deadline > 0 {
-            let expired: Vec<u64> = self
-                .inflight
-                .iter()
-                .filter(|(_, r)| r.deadline.expired(now))
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                if let Some(req) = self.inflight.remove(&id) {
-                    self.stats.expired += 1;
-                    if req.hedged == 1 {
-                        // Neither copy answered in time: the hedge
-                        // token bought nothing.
-                        self.stats.hedges_wasted += 1;
-                    }
-                    self.maybe_retry(now, req);
+            let mut expired = Vec::new();
+            self.inflight.retain(|&(_, req)| {
+                let keep = !req.deadline.expired(now);
+                if !keep {
+                    expired.push(req);
                 }
+                keep
+            });
+            for req in expired {
+                self.stats.expired += 1;
+                if req.hedged == 1 {
+                    // Neither copy answered in time: the hedge token
+                    // bought nothing.
+                    self.stats.hedges_wasted += 1;
+                }
+                self.maybe_retry(now, req);
             }
         }
         self.pump_hedges(env, now);
@@ -805,39 +843,29 @@ impl WebFrontKernel {
         if self.cfg.hedge_after == 0 {
             return;
         }
-        let due: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, r)| {
-                r.hedged == 0 && now.saturating_sub(r.sent_at) >= self.hedge_delay(r.primary)
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            let Some(&req) = self.inflight.get(&id) else {
+        // A hedge changes only its own request and the budget, never
+        // another request's due test, so one pass in id order suffices.
+        for i in 0..self.inflight.len() {
+            let (id, req) = self.inflight[i];
+            if req.hedged != 0 || now.saturating_sub(req.sent_at) < self.hedge_delay(req.primary) {
                 continue;
-            };
+            }
             let Some(dst) = self.best_peer(req.primary) else {
                 // Nowhere to hedge to (two-node cluster, or every peer
                 // suspect): stop rescanning this request.
-                if let Some(r) = self.inflight.get_mut(&id) {
-                    r.hedged = 2;
-                }
+                self.inflight[i].1.hedged = 2;
                 continue;
             };
             if !self.budget.try_spend(now) {
                 self.stats.hedges_denied += 1;
-                if let Some(r) = self.inflight.get_mut(&id) {
-                    r.hedged = 2;
-                }
+                self.inflight[i].1.hedged = 2;
                 continue;
             }
             self.stats.attempts += 1;
             self.stats.hedges_sent += 1;
-            if let Some(r) = self.inflight.get_mut(&id) {
-                r.hedged = 1;
-                r.hedge_dst = dst;
-            }
+            let r = &mut self.inflight[i].1;
+            r.hedged = 1;
+            r.hedge_dst = dst;
             env.outbox.push(Packet {
                 src: self.cfg.node,
                 dst,
@@ -949,32 +977,17 @@ impl AppKernel for WebFrontKernel {
                 if self.owner_of(key) != self.cfg.node {
                     return;
                 }
-                let page = self.page_of(key);
-                let hit = self.serve_page(env, page);
-                self.stats.served_remote += 1;
-                env.outbox.push(Packet {
-                    src: self.cfg.node,
-                    dst: src,
-                    channel: WEB_CHANNEL,
-                    data: encode_reply(id, hit),
-                });
+                self.serve_peer(env, src, id, key);
             }
             Some(Frame::Hedge { id, key }) => {
                 // A hedge duplicate (or steered forward) is served
                 // unconditionally — ownership does not gate it, the
                 // sender already decided where the work should land.
-                let page = self.page_of(key);
-                let hit = self.serve_page(env, page);
-                self.stats.served_remote += 1;
-                env.outbox.push(Packet {
-                    src: self.cfg.node,
-                    dst: src,
-                    channel: WEB_CHANNEL,
-                    data: encode_reply(id, hit),
-                });
+                self.serve_peer(env, src, id, key);
             }
             Some(Frame::Reply { id }) => {
-                if let Some(req) = self.inflight.remove(&id) {
+                let at = self.inflight.binary_search_by_key(&id, |&(i, _)| i);
+                if let Some((_, req)) = at.ok().and_then(|i| self.inflight.remove(i)) {
                     // First reply wins; the loser's reply finds the id
                     // gone and is dropped right here. Only the primary
                     // path samples the EWMA — the hedge left later than
@@ -1254,6 +1267,136 @@ mod tests {
             !adv.steer_worthy(2),
             "hedge_after 0 leaves only the advisory"
         );
+    }
+
+    /// Run `f` against a fresh node's `Env` (a bare, unbooted Cache
+    /// Kernel on a small machine: enough for counters and the clock).
+    fn with_env<R>(f: impl FnOnce(&mut Env) -> R) -> R {
+        let mut ck = cache_kernel::CacheKernel::new(cache_kernel::CkConfig::default());
+        let mut mpm = hw::Mpm::new(hw::MachineConfig {
+            phys_frames: 1024,
+            l2_bytes: 64 * 1024,
+            ..hw::MachineConfig::default()
+        });
+        let mut code = cache_kernel::program::CodeStore::new();
+        let mut outbox = Vec::new();
+        f(&mut Env {
+            ck: &mut ck,
+            mpm: &mut mpm,
+            code: &mut code,
+            cpu: 0,
+            node: 0,
+            outbox: &mut outbox,
+        })
+    }
+
+    /// The front cache as it was with an ordered-map index: the
+    /// reference the flat slot table must agree with.
+    struct MapFrontCache {
+        cap: usize,
+        slots: Vec<(u32, bool)>,
+        index: BTreeMap<u32, usize>,
+        hand: usize,
+    }
+
+    impl MapFrontCache {
+        fn touch(&mut self, page: u32) -> bool {
+            if let Some(&slot) = self.index.get(&page) {
+                self.slots[slot].1 = true;
+                return true;
+            }
+            if self.slots.len() < self.cap {
+                self.index.insert(page, self.slots.len());
+                self.slots.push((page, false));
+                return false;
+            }
+            loop {
+                let (victim, referenced) = self.slots[self.hand];
+                if referenced {
+                    self.slots[self.hand].1 = false;
+                    self.hand = (self.hand + 1) % self.cap;
+                    continue;
+                }
+                self.index.remove(&victim);
+                self.index.insert(page, self.hand);
+                self.slots[self.hand] = (page, false);
+                self.hand = (self.hand + 1) % self.cap;
+                return false;
+            }
+        }
+    }
+
+    #[test]
+    fn front_cache_matches_the_map_reference_on_a_zipf_stream() {
+        for (keys, cap, seed) in [(4_096, 64, 11u64), (1_024, 64, 12), (512, 700, 13)] {
+            let zipf = crate::Zipf::new(keys, ZIPF_THETA);
+            let mut flat = FrontCache::new(cap, keys);
+            let mut reference = MapFrontCache {
+                cap,
+                slots: Vec::new(),
+                index: BTreeMap::new(),
+                hand: 0,
+            };
+            let mut rng = seed;
+            let mut hits = 0;
+            for i in 0..50_000 {
+                let page = zipf.sample_unit(unit(&mut rng));
+                let hit = reference.touch(page);
+                assert_eq!(
+                    flat.touch(page),
+                    Some(hit),
+                    "keys {keys} cap {cap} touch {i}"
+                );
+                hits += hit as u32;
+            }
+            assert!(hits > 0 && hits < 50_000, "the stream both hits and misses");
+            assert_eq!(flat.index.len(), keys as usize);
+        }
+    }
+
+    #[test]
+    fn out_of_range_peer_key_is_rejected_not_indexed() {
+        let mut k = WebFrontKernel::new(WebServingConfig::default());
+        let size = k.cache.index.len();
+        let (rejected, replies) = with_env(|env| {
+            k.on_packet(env, 1, WEB_CHANNEL, &encode_request(5, u32::MAX));
+            k.on_packet(env, 1, WEB_CHANNEL, &encode_hedge(6, u32::MAX));
+            (env.ck.stats.frames_rejected, env.outbox.len())
+        });
+        assert_eq!(rejected, 2, "both frames counted as rejected");
+        assert_eq!(replies, 0, "a rejected frame gets no reply");
+        assert_eq!(k.cache.index.len(), size, "the index did not grow");
+        assert!(k.cache.slots.is_empty(), "nothing became resident");
+        assert_eq!(k.stats.served_remote, 0);
+    }
+
+    #[test]
+    fn pump_timers_expires_in_ascending_id_order() {
+        let mut k = WebFrontKernel::new(WebServingConfig {
+            cluster_nodes: 2,
+            deadline: 1_000,
+            ..WebServingConfig::default()
+        });
+        // Ten forwards in flight; the even ids are overdue at cycle 500.
+        for id in 0..10u64 {
+            let mut req = k.fresh(0, 100 + id as u32);
+            if id % 2 == 0 {
+                req.deadline = Deadline::after(0, 100);
+            }
+            k.inflight.push_back((id, req));
+        }
+        k.next_id = 10;
+        with_env(|env| k.pump_timers(env, 500));
+        assert_eq!(k.stats.expired, 5);
+        let left: Vec<u64> = k.inflight.iter().map(|&(id, _)| id).collect();
+        assert_eq!(left, [1, 3, 5, 7, 9], "survivors keep their order");
+        // Each expiry parks its request under the next minted id, so the
+        // minted order is the expiry order.
+        let mut parked: Vec<(u64, u32)> =
+            k.parked.iter().map(|(&(_, id), r)| (id, r.key)).collect();
+        parked.sort_unstable();
+        let keys: Vec<u32> = parked.iter().map(|&(_, key)| key).collect();
+        assert_eq!(keys, [100, 102, 104, 106, 108]);
     }
 
     #[test]

@@ -106,6 +106,9 @@ cargo run -q --release -p bench --bin report -- gray > /dev/null
 echo "== messaging bench smoke (criterion baselines) =="
 cargo bench -q -p bench --bench signal_latency -- --save-baseline msg-gate > /dev/null
 cargo bench -q -p bench --bench ipc_channel -- --save-baseline msg-gate > /dev/null
+# Read the saved medians back: a missing or malformed baseline fails here.
+# The new/old ratios are printed for the log, not judged.
+cargo bench -q -p bench --bench ipc_channel -- --baseline msg-gate
 
 if [[ "${TSAN:-0}" == "1" ]]; then
   # Opt-in ThreadSanitizer pass over the cross-thread paths (the SPSC

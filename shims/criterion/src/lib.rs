@@ -7,7 +7,22 @@
 //! median ns/iteration across samples. No plots, no statistics beyond
 //! median/min/max — the benches exist to compare kernel-path costs
 //! relative to each other and across commits.
+//!
+//! Across commits, the baseline flags of the real crate work on the
+//! medians:
+//!
+//! * `--save-baseline <name>` writes each bench id's median ns/iter to
+//!   `target/criterion/<name>.tsv` (one `id<TAB>median` line per id;
+//!   ids already in the file from other bench binaries are kept);
+//! * `--baseline <name>` reads that file before running and prints, per
+//!   id, the new/old ratio of the medians.
+//!
+//! A missing or malformed baseline file ends the run with a message and
+//! a non-zero exit. No noise threshold is applied: the ratio is printed,
+//! not judged.
 
+use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -124,6 +139,176 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         None => String::new(),
     };
     println!("{name:<44} median {median:>12.1} ns/iter  [{min:.1} .. {max:.1}]{rate}");
+    MEDIANS
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .push((name, median));
+}
+
+/// Median ns/iter of every benchmark this process has run, in run order.
+static MEDIANS: Mutex<Vec<(String, f64)>> = Mutex::new(Vec::new());
+
+/// What the command line asks to do with this run's medians.
+#[derive(Debug, PartialEq)]
+pub enum Baseline {
+    /// Neither flag: just print the medians.
+    Off,
+    /// `--save-baseline <name>`: record the medians under `name`.
+    Save(String),
+    /// `--baseline <name>`: compare against the medians saved as
+    /// `name`, loaded when the flag was parsed.
+    Compare(String, Vec<(String, f64)>),
+}
+
+impl Baseline {
+    /// Parse the bench binary's arguments and, for `--baseline`, load
+    /// the saved file. Exits with a message on a bad flag or a missing
+    /// or malformed baseline; other arguments (`--bench`, filters) are
+    /// ignored as before.
+    pub fn from_args() -> Self {
+        match Self::parse(std::env::args().skip(1)) {
+            Ok(Baseline::Compare(name, _)) => {
+                let path = baseline_path(&name);
+                let loaded = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))
+                    .and_then(|text| {
+                        parse_baseline(&text)
+                            .map_err(|e| format!("malformed baseline {}: {e}", path.display()))
+                    });
+                match loaded {
+                    Ok(entries) => Baseline::Compare(name, entries),
+                    Err(e) => fail(&e),
+                }
+            }
+            Ok(mode) => mode,
+            Err(e) => fail(&e),
+        }
+    }
+
+    fn parse(args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut mode = Baseline::Off;
+        let mut args = args;
+        while let Some(arg) = args.next() {
+            let save = match arg.as_str() {
+                "--save-baseline" => true,
+                "--baseline" => false,
+                _ => continue,
+            };
+            let name = args
+                .next()
+                .filter(|n| !n.is_empty() && !n.starts_with('-') && !n.contains(['/', '\\']))
+                .ok_or_else(|| format!("{arg} needs a baseline name (no path separators)"))?;
+            if mode != Baseline::Off {
+                return Err("give at most one of --save-baseline and --baseline".into());
+            }
+            mode = if save {
+                Baseline::Save(name)
+            } else {
+                Baseline::Compare(name, Vec::new())
+            };
+        }
+        Ok(mode)
+    }
+
+    /// Act on the medians of the finished run: write them, or print
+    /// their ratios against the loaded baseline.
+    pub fn finish(self) {
+        let medians = std::mem::take(&mut *MEDIANS.lock().unwrap_or_else(|e| e.into_inner()));
+        match self {
+            Baseline::Off => {}
+            Baseline::Save(name) => {
+                let path = baseline_path(&name);
+                // Keep what other bench binaries saved under this name;
+                // an unreadable old file is simply replaced.
+                let old = std::fs::read_to_string(&path)
+                    .ok()
+                    .and_then(|text| parse_baseline(&text).ok())
+                    .unwrap_or_default();
+                let text = render_baseline(&merge_baseline(old, &medians));
+                let written = path
+                    .parent()
+                    .map_or(Ok(()), std::fs::create_dir_all)
+                    .and_then(|()| std::fs::write(&path, text));
+                if let Err(e) = written {
+                    fail(&format!("cannot write baseline {}: {e}", path.display()));
+                }
+                println!("saved {} medians to {}", medians.len(), path.display());
+            }
+            Baseline::Compare(name, old) => {
+                println!("-- against baseline {name} (new/old median ns/iter) --");
+                for line in compare_lines(&old, &medians) {
+                    println!("{line}");
+                }
+            }
+        }
+    }
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("criterion: {msg}");
+    std::process::exit(2);
+}
+
+/// `target/criterion/<name>.tsv`, the target directory found from the
+/// bench executable (`<target>/<profile>/deps/<bench>`).
+fn baseline_path(name: &str) -> PathBuf {
+    let target = std::env::current_exe()
+        .ok()
+        .and_then(|exe| exe.ancestors().nth(3).map(PathBuf::from))
+        .unwrap_or_else(|| PathBuf::from("target"));
+    target.join("criterion").join(format!("{name}.tsv"))
+}
+
+/// Parse `id<TAB>median_ns` lines. Every line must parse and the file
+/// must hold at least one entry: a baseline that compares nothing is
+/// an error, not a pass.
+fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let mut entries = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        let parsed = line.split_once('\t').and_then(|(id, ns)| {
+            let ns: f64 = ns.trim().parse().ok()?;
+            (!id.is_empty() && ns.is_finite() && ns >= 0.0).then(|| (id.to_string(), ns))
+        });
+        match parsed {
+            Some(entry) => entries.push(entry),
+            None => return Err(format!("line {}: expected `id<TAB>median_ns`", n + 1)),
+        }
+    }
+    if entries.is_empty() {
+        return Err("no entries".into());
+    }
+    Ok(entries)
+}
+
+fn render_baseline(entries: &[(String, f64)]) -> String {
+    entries
+        .iter()
+        .map(|(id, ns)| format!("{id}\t{ns}\n"))
+        .collect()
+}
+
+/// `old` with every id of `new` updated in place or appended.
+fn merge_baseline(mut old: Vec<(String, f64)>, new: &[(String, f64)]) -> Vec<(String, f64)> {
+    for (id, ns) in new {
+        match old.iter_mut().find(|(o, _)| o == id) {
+            Some(entry) => entry.1 = *ns,
+            None => old.push((id.clone(), *ns)),
+        }
+    }
+    old
+}
+
+/// One line per id of this run: its new/old ratio, or a note that the
+/// baseline has no entry for it.
+fn compare_lines(old: &[(String, f64)], new: &[(String, f64)]) -> Vec<String> {
+    new.iter()
+        .map(|(id, ns)| match old.iter().find(|(o, _)| o == id) {
+            Some(&(_, base)) if base > 0.0 => {
+                format!("{id:<44} {:>8.3}x  ({ns:.1} / {base:.1} ns)", ns / base)
+            }
+            _ => format!("{id:<44} (not in baseline)"),
+        })
+        .collect()
 }
 
 /// A named group of related benchmarks.
@@ -217,12 +402,15 @@ macro_rules! criterion_group {
     };
 }
 
-/// Emit `main` running the given groups in order.
+/// Emit `main` running the given groups in order, then saving or
+/// comparing baselines as the command line asks.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
+            let baseline = $crate::Baseline::from_args();
             $($group();)+
+            baseline.finish();
         }
     };
 }
@@ -243,5 +431,69 @@ mod tests {
         });
         g.finish();
         assert!(count > 0);
+    }
+
+    fn args(a: &[&str]) -> impl Iterator<Item = String> {
+        a.iter()
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()
+            .into_iter()
+    }
+
+    #[test]
+    fn baseline_flags_parse() {
+        assert_eq!(Baseline::parse(args(&["--bench"])), Ok(Baseline::Off));
+        assert_eq!(
+            Baseline::parse(args(&["--bench", "--save-baseline", "gate"])),
+            Ok(Baseline::Save("gate".into()))
+        );
+        assert_eq!(
+            Baseline::parse(args(&["--baseline", "gate", "--bench"])),
+            Ok(Baseline::Compare("gate".into(), Vec::new()))
+        );
+        assert!(Baseline::parse(args(&["--baseline"])).is_err());
+        assert!(Baseline::parse(args(&["--save-baseline", "--bench"])).is_err());
+        assert!(Baseline::parse(args(&["--baseline", "../x"])).is_err());
+        assert!(Baseline::parse(args(&["--baseline", "a", "--save-baseline", "b"])).is_err());
+    }
+
+    #[test]
+    fn baseline_file_round_trips_merges_and_rejects_garbage() {
+        let saved = vec![("g/a".to_string(), 45.5), ("g/b".to_string(), 1200.0)];
+        let text = render_baseline(&saved);
+        assert_eq!(parse_baseline(&text), Ok(saved.clone()));
+        // A second bench binary saving under the same name keeps the
+        // first one's ids and updates its own.
+        let merged = merge_baseline(saved, &[("g/b".into(), 1000.0), ("h/c".into(), 7.0)]);
+        assert_eq!(
+            merged,
+            vec![
+                ("g/a".to_string(), 45.5),
+                ("g/b".to_string(), 1000.0),
+                ("h/c".to_string(), 7.0)
+            ]
+        );
+        assert!(
+            parse_baseline("").is_err(),
+            "an empty baseline compares nothing"
+        );
+        assert!(parse_baseline("g/a 45.5\n").is_err(), "no tab");
+        assert!(parse_baseline("g/a\tfast\n").is_err(), "not a number");
+        assert!(
+            parse_baseline("g/a\t1\n\tNaN\n").is_err(),
+            "bad second line"
+        );
+    }
+
+    #[test]
+    fn comparison_prints_ratio_per_id() {
+        let old = vec![("g/a".to_string(), 50.0)];
+        let lines = compare_lines(&old, &[("g/a".into(), 25.0), ("g/new".into(), 9.0)]);
+        assert!(
+            lines[0].starts_with("g/a") && lines[0].contains("0.500x"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].contains("not in baseline"), "{}", lines[1]);
     }
 }
